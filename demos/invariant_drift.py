@@ -20,8 +20,8 @@ from rototrap import (
     evaluate_invariant,
     invariance_nullspace,
     invariance_residuals,
+    linear_flow,
     make_config,
-    rk4_integrate,
     solve_cubic,
     trajectory_drift,
 )
@@ -54,8 +54,7 @@ def main():
     chi = max(abs(r.real) for r in solve_cubic(char_poly_coeffs(cfg)))
     t_fast = 2.0 * np.pi / np.sqrt(chi)
     x0 = np.array([1.0, 0.5, -0.3, 0.2, 1.1, -0.7])
-    m = cfg.dynamics_matrix
-    traj = rk4_integrate(lambda t, y: m @ y, x0, 20.0 * t_fast, t_fast / 400.0)
+    traj = linear_flow(cfg.dynamics_matrix, x0, 20.0 * t_fast, t_fast / 400.0)
 
     lines = ["t," + ",".join(inv.label for inv in invs)]
     for i, t in enumerate(traj.times):

@@ -97,6 +97,7 @@ from .numerics import (
     cinv3,
     eig_general,
     fmt17,
+    linear_flow,
     posdef_min_eig,
     rk4_integrate,
 )

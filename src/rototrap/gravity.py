@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateD, InsufficientSpan, StepTooLarge
-from .numerics import fmt17, rk4_integrate
+from .numerics import fmt17, linear_flow
 from .stability import region_map, solve_cubic
 from .trap import char_poly_coeffs
 
@@ -61,22 +61,26 @@ def decompose_gravity(g, n):
 
 
 def _rotating_drive(dg, omega):
-    """g(t) as a function of t, with the constant n x g_perp bound once."""
+    """g(t) as a function of t, with the constant n x g_perp bound once.
+
+    t is a scalar, giving a 3-vector, or a 1-D array, giving one row per time.
+    """
     g_par, g_perp = dg.g_par, dg.g_perp
     whirl = np.cross(dg.axis, g_perp)
 
     def drive(t):
-        wt = omega * t
+        wt = omega * np.asarray(t, dtype=float)[..., None]
         return g_par + g_perp * np.cos(wt) - whirl * np.sin(wt)
 
     return drive
 
 
 def gravity_in_rotating_frame(dg, omega, t):
-    """The corotating-frame acceleration at time t.
+    """The corotating-frame acceleration at time t (a scalar or a 1-D array).
 
     Equals Re(g_par + (g_perp + i n x g_perp) exp(i Omega t)); the
     transverse part rotates rigidly, so |g(t)| and g(t).n are constants.
+    An array of times gives an array of shape (len(t), 3).
     """
     return _rotating_drive(dg, omega)(t)
 
@@ -184,8 +188,9 @@ def forced_evolve(cfg, g, t_end, dt=None, x0=None):
     """Integrate dX/dt = M X + (0, g(t)) from X(0) = 0 (by default).
 
     The zero start isolates the driven particular solution from
-    initial-condition transients. Raises StepTooLarge when
-    dt ||M||_1 > 0.1, long before RK4 becomes inaccurate.
+    initial-condition transients; a given x0 must be a finite vector of
+    shape (6,). Runs RK4 as the linear_flow one-step map. Raises
+    StepTooLarge when dt ||M||_1 > 0.1, long before RK4 becomes inaccurate.
     """
     if dt is None:
         dt = default_forced_dt(cfg)
@@ -193,14 +198,19 @@ def forced_evolve(cfg, g, t_end, dt=None, x0=None):
     if dt * np.linalg.norm(m, 1) > 0.1:
         raise StepTooLarge(f"dt = {dt:.3g} too large for ||M||_1 = {np.linalg.norm(m, 1):.3g}")
     drive = _rotating_drive(decompose_gravity(g, cfg.axis), cfg.omega)
-    x0 = np.zeros(6) if x0 is None else np.asarray(x0, dtype=float)
+    if x0 is None:
+        x0 = np.zeros(6)
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (6,) or not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 must be a finite vector of shape (6,), got shape {x0.shape}")
 
-    def rhs(t, y):
-        out = m @ y
-        out[3:] += drive(t)
-        return out
+    def forcing(ts):
+        f = np.zeros((len(ts), 6))
+        f[:, 3:] = drive(ts)
+        return f
 
-    return rk4_integrate(rhs, x0, t_end, dt)
+    return linear_flow(m, x0, t_end, dt, forcing=forcing)
 
 
 def _linfit(x, y):

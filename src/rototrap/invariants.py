@@ -222,8 +222,13 @@ def quadratic_form(inv):
 
 
 def trajectory_drift(inv, traj):
-    """max_t |C(t) - C(0)| / (1 + |C(0)|) along a homogeneous trajectory."""
-    vals = np.array([evaluate_invariant(inv, s) for s in traj.states])
+    """max_t |C(t) - C(0)| / (1 + |C(0)|) along a homogeneous trajectory.
+
+    C(t) = X.G X / 2 with G = quadratic_form(inv), for all steps at once;
+    evaluate_invariant is the per-point reference.
+    """
+    x = np.real(traj.states)
+    vals = 0.5 * np.einsum("ti,ij,tj->t", x, quadratic_form(inv), x)
     return float(np.max(np.abs(vals - vals[0])) / (1.0 + abs(vals[0])))
 
 

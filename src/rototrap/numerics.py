@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
-Fixed-step RK4 for linear and Riccati systems, dense nonsymmetric
-eigendecomposition, positive-definiteness tests, and small complex-matrix
-inversion. Fixed-step integration is deliberate: every system here is small
-and smooth, and reproducible CSV output matters more than adaptive speed.
+Fixed-step RK4 for Riccati systems and its exact one-step map for linear
+ones, dense nonsymmetric eigendecomposition, positive-definiteness tests,
+and small complex-matrix inversion. Fixed-step integration is deliberate:
+every system here is small and smooth, and reproducible CSV output matters
+more than adaptive speed.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "OmegaRange",
     "Trajectory",
     "rk4_integrate",
+    "linear_flow",
     "eig_general",
     "posdef_min_eig",
     "cinv3",
@@ -86,6 +88,22 @@ class Trajectory:
         return self.states[-1]
 
 
+def _step_count(dt, t0, t_end):
+    """Number of full steps of dt from t0 to t_end, and the ragged last step.
+
+    The ragged step is None when the full steps land on t_end within
+    roundoff; the 1e-12 slack avoids a spurious tiny final step.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    span = t_end - t0
+    if span < 0:
+        raise ValueError("t_end must be >= t0")
+    n_full = int(np.floor(span / dt + 1e-12))
+    rem = span - n_full * dt
+    return n_full, (rem if rem > 1e-12 * max(1.0, abs(t_end)) else None)
+
+
 def rk4_integrate(rhs, y0, t_end, dt, t0=0.0):
     """Integrate dy/dt = rhs(t, y) with classical fixed-step RK4.
 
@@ -94,8 +112,6 @@ def rk4_integrate(rhs, y0, t_end, dt, t0=0.0):
     carrying the finite part of the trajectory, so scans over unstable
     configs can report the failure without dying.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     y = np.asarray(y0).copy()
     if y.dtype.kind not in "fc":
         y = y.astype(float)
@@ -103,15 +119,10 @@ def rk4_integrate(rhs, y0, t_end, dt, t0=0.0):
     t_end = float(t_end)
     times = [t]
     states = [y.copy()]
-    # the 1e-12 slack avoids a spurious tiny final step from roundoff
-    span = t_end - t
-    if span < 0:
-        raise ValueError("t_end must be >= t0")
-    n_full = int(np.floor(span / dt + 1e-12))
+    n_full, ragged = _step_count(dt, t, t_end)
     steps = [dt] * n_full
-    rem = span - n_full * dt
-    if rem > 1e-12 * max(1.0, abs(t_end)):
-        steps.append(rem)
+    if ragged is not None:
+        steps.append(ragged)
     for h in steps:
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
@@ -126,6 +137,93 @@ def rk4_integrate(rhs, y0, t_end, dt, t0=0.0):
             )
         times.append(t)
         states.append(y.copy())
+    return Trajectory(times, states)
+
+
+def _rk4_step_map(m, h):
+    """R(hM) and (B0, B_half, B1) of one RK4 step of size h on y' = M y + f."""
+    a = h * m
+    eye = np.eye(len(m))
+    a2 = a @ a
+    a3 = a2 @ a
+    r = eye + a + a2 / 2.0 + a3 / 6.0 + a3 @ a / 24.0
+    c = h / 6.0
+    bs = (
+        c * (eye + a + a2 / 2.0 + a3 / 4.0),
+        c * (4.0 * eye + 2.0 * a + a2 / 2.0),
+        c * eye,
+    )
+    return r, bs
+
+
+def linear_flow(m, y0, t_end, dt, forcing=None, t0=0.0):
+    """Integrate dy/dt = M y + f(t) with RK4 taken as its exact one-step map.
+
+    On a linear system one classical RK4 step of size h is the affine map
+
+        y <- R(hM) y + B0 f(t) + B_half f(t + h/2) + B1 f(t + h),
+
+    with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4 stability function
+    and, for A = hM, B0 = h/6 (I + A + A^2/2 + A^3/4),
+    B_half = h/6 (4I + 2A + A^2/2) and B1 = h/6 I. The matrices are built
+    once per step size, so a step costs one matrix product and one add.
+
+    Steps, times (accumulated as t = t + h), the ValueError guards and the
+    NonFiniteState prefix are those of rk4_integrate; the states differ
+    from it by rounding only. ``y0`` is a length-n vector or an (n, k)
+    block of columns, real or complex. ``forcing``, if given, maps a 1-D
+    array of times to an array of shape (len(times),) + y0.shape; it is
+    called once per run, on every step end and midpoint.
+    """
+    m = np.asarray(m)
+    y = np.asarray(y0)
+    if y.dtype.kind not in "fc":
+        y = y.astype(float)
+    if y.ndim not in (1, 2) or m.shape != (len(y), len(y)):
+        raise ValueError(
+            f"linear_flow needs an (n, n) matrix and a state of n rows, "
+            f"got {m.shape} and {y.shape}"
+        )
+    t0 = float(t0)
+    n_full, ragged = _step_count(dt, t0, float(t_end))
+    runs = [(0, n_full, float(dt))]
+    if ragged is not None:
+        runs.append((n_full, n_full + 1, ragged))
+    hs = np.concatenate([np.full(hi - lo, h) for lo, hi, h in runs])
+    n = len(hs)
+    times = np.add.accumulate(np.concatenate([[t0], hs]))
+
+    f = None
+    if forcing is not None:
+        f = np.asarray(forcing(np.concatenate([times, times[:-1] + 0.5 * hs])))
+        if f.shape != (2 * n + 1,) + y.shape:
+            raise ValueError(
+                f"forcing returned shape {f.shape}, expected {(2 * n + 1,) + y.shape}"
+            )
+    dtype = np.result_type(y, m) if f is None else np.result_type(y, m, f)
+    states = np.empty((n + 1,) + y.shape, dtype=dtype)
+    states[0] = y
+    # an overflowing run is reported below as NonFiniteState, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, h in runs:
+            r, (b0, bh, b1) = _rk4_step_map(m, h)
+            if f is not None:
+                # f at each step's start, midpoint and end: rows lo.., n+1+lo.., lo+1..
+                inc = sum(
+                    np.einsum("ij,sj...->si...", b, f[start: start + hi - lo])
+                    for b, start in ((b0, lo), (bh, n + 1 + lo), (b1, lo + 1))
+                )
+            y = states[lo]
+            for i in range(lo, hi):
+                y = r @ y if f is None else r @ y + inc[i - lo]
+                states[i + 1] = y
+    finite = np.isfinite(states.reshape(n + 1, -1)).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteState(
+            f"state became non-finite at t={times[k]:.6g}",
+            trajectory=Trajectory(times[:k], states[:k]),
+        )
     return Trajectory(times, states)
 
 

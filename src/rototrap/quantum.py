@@ -41,7 +41,7 @@ from .errors import (
     UnstableConfig,
 )
 from .modes import eigenmodes, select_positive_signature_modes
-from .numerics import cinv3, fmt17, posdef_min_eig, rk4_integrate
+from .numerics import cinv3, fmt17, linear_flow, posdef_min_eig, rk4_integrate
 
 __all__ = [
     "GaussianState",
@@ -166,12 +166,13 @@ class RiccatiTrajectory:
 def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
     """Integrate the Riccati flow by one of two independent routes.
 
-    direct runs RK4 on the Riccati equation itself; linearized runs RK4 on
-    the (D, N) pair from D(0) = I, N(0) = i K0 and reconstructs
-    K = -i N D^{-1} at every step. The two must agree within 1e-7 over a
-    run, which is the standing cross-check on both. Raises SingularD when
-    D becomes ill-conditioned (a caustic of the linearized flow) and
-    StepTooLarge under the same step bound as forced evolution.
+    direct runs RK4 on the Riccati equation itself; linearized runs RK4, as
+    the linear_flow one-step map, on the (D; N) column block from D(0) = I,
+    N(0) = i K0 and reconstructs K = -i N D^{-1} at every step. The two
+    must agree within 1e-7 over a run, which is the standing cross-check on
+    both. Raises SingularD when D becomes ill-conditioned (a caustic of
+    the linearized flow) and StepTooLarge under the same step bound as
+    forced evolution.
     """
     k0 = _k_array(k0)
     d = k0.shape[0]
@@ -182,9 +183,6 @@ def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
         raise StepTooLarge(
             f"dt = {dt:.3g} too large for ||M||_1 = {np.linalg.norm(m, 1):.3g}"
         )
-    v = cfg.v
-    w = cfg.omega_matrix
-
     if method == "direct":
 
         def rhs(t, y):
@@ -194,25 +192,39 @@ def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
         return RiccatiTrajectory(traj.times, traj.states, method)
 
     if method == "linearized":
-        y0 = np.stack([np.eye(d, dtype=complex), 1j * k0])
-
-        def rhs(t, y):
-            dd, nn = y[0], y[1]
-            return np.stack([nn - w @ dd, -v @ dd - w @ nn])
-
-        traj = rk4_integrate(rhs, y0, t_end, dt)
-        ks = np.empty((len(traj), d, d), dtype=complex)
-        for i in range(len(traj)):
-            dd, nn = traj.states[i]
-            try:
-                ks[i] = -1j * (nn @ cinv3(dd))
-            except NearSingular as exc:
-                raise SingularD(
-                    f"D singular at t = {traj.times[i]:.6g}: {exc}"
-                ) from exc
-        return RiccatiTrajectory(traj.times, ks, method)
+        # dD/dt = N - W D and dN/dt = -V D - W N are M applied to (D; N)
+        y0 = np.vstack([np.eye(d, dtype=complex), 1j * k0])
+        traj = linear_flow(m, y0, t_end, dt)
+        inv = _batched_inverse(traj.times, traj.states[:, :d])
+        return RiccatiTrajectory(traj.times, -1j * (traj.states[:, d:] @ inv), method)
 
     raise ValueError(f"method must be 'direct' or 'linearized', got {method!r}")
+
+
+def _batched_inverse(times, dd):
+    """D(t)^{-1} for a stack of D matrices, under cinv3's guards.
+
+    The condition number must be finite and below 1e12 and the identity
+    residual ||D D^-1 - I|| at most 1e-10; the first step failing either
+    raises SingularD naming its time.
+    """
+    cond = np.linalg.cond(dd)
+    bad_cond = ~(np.isfinite(cond) & (cond < 1e12))
+    # inverses are only taken up to the first unusable D
+    n_ok = int(np.argmax(bad_cond)) if bad_cond.any() else len(dd)
+    inv = np.linalg.inv(dd[:n_ok])
+    res = np.linalg.norm(dd[:n_ok] @ inv - np.eye(dd.shape[1]), axis=(1, 2))
+    bad_res = res > 1e-10
+    if bad_res.any():
+        i = int(np.argmax(bad_res))
+        raise SingularD(
+            f"D singular at t = {times[i]:.6g}: inverse residual {res[i]:.3e} exceeds 1e-10"
+        )
+    if n_ok < len(dd):
+        raise SingularD(
+            f"D singular at t = {times[n_ok]:.6g}: condition number {cond[n_ok]:.3e} >= 1e12"
+        )
+    return inv
 
 
 def stationary_K_from_modes(cfg, modes=None):

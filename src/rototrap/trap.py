@@ -191,6 +191,7 @@ class ValidatedConfig:
         self.axis = config.rotation.axis
         self.omega = config.rotation.omega
         self.omega_unit = config.omega_unit
+        self._w = None
         self._m = None
 
     @property
@@ -199,7 +200,10 @@ class ValidatedConfig:
 
     @property
     def omega_matrix(self):
-        return cross_matrix(self.omega_vec)
+        if self._w is None:
+            self._w = cross_matrix(self.omega_vec)
+            self._w.setflags(write=False)
+        return self._w
 
     @property
     def dynamics_matrix(self):

@@ -24,7 +24,7 @@ from .invariants import (
     trajectory_drift,
 )
 from .modes import eigenmodes
-from .numerics import rk4_integrate
+from .numerics import linear_flow
 from .quantum import riccati_rhs, stationary_K_from_modes, wigner_decompose_into_invariants, wigner_form
 from .stability import (
     EXPONENTIAL,
@@ -229,9 +229,8 @@ def verify_config(cfg):
         x0 = np.array([1.0, 0.5, -0.3, 0.2, 1.1, -0.7])
 
         def chk_drift():
-            m = cfg.dynamics_matrix
-            traj = rk4_integrate(
-                lambda t, x: m @ x, x0, 10.0 * t_slow, t_fast / 400.0
+            traj = linear_flow(
+                cfg.dynamics_matrix, x0, 10.0 * t_slow, t_fast / 400.0
             )
             worst = max(
                 trajectory_drift(build_invariant("C1", cfg), traj),

@@ -7,8 +7,24 @@ themselves, next to the assertions they govern.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, settings
+from hypothesis import strategies as st
 
 from rototrap import make_config, region_map
+
+# property tests draw the same examples on every run and keep no database.
+# Drawing a config builds its region map (about 50 ms), so the slow-draw
+# health check would trip on a slow host, and shrinking a failure would take
+# minutes: a failure reports the example as drawn.
+settings.register_profile(
+    "rototrap",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate],
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("rototrap")
 
 V123 = np.diag([1.0, 2.0, 3.0])
 
@@ -98,6 +114,34 @@ def sample_region_omegas(cfg, region, count, rng, margin=0.05):
         return []
     fracs = rng.uniform(margin, 1.0 - margin, size=count)
     return [omega_inside(lab, f) for f in fracs]
+
+
+@st.composite
+def hard_configs(draw):
+    """A config biased toward hard cases, at a rate inside a drawn region.
+
+    V may be isotropic or axis-degenerate and the tilt may sit below 1e-4;
+    the region is any of the config's partition, stable or unstable.
+    """
+    vals = draw(st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3))
+    shape = draw(st.sampled_from(["generic", "axis_degenerate", "isotropic"]))
+    if shape == "axis_degenerate":
+        vals[1] = vals[0]
+    elif shape == "isotropic":
+        vals = [vals[0]] * 3
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        axis = tilted_axis(draw(st.floats(0.0, 1e-4)))
+        v = np.diag(vals)
+    else:
+        axis = random_axis(rng)
+        q = random_rotation(rng)
+        v = q @ np.diag(vals) @ q.T
+    cfg = make_config(v, axis, 0.0)
+    labels = region_map(cfg).labels()
+    lab = labels[draw(st.integers(0, len(labels) - 1))]
+    return cfg.with_omega(omega_inside(lab, draw(st.floats(0.05, 0.95))))
 
 
 @pytest.fixture

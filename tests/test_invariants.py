@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rototrap import (
     QuadraticInvariant,
@@ -15,6 +17,7 @@ from rototrap import (
     forced_evolve,
     invariance_nullspace,
     invariance_residuals,
+    linear_flow,
     make_config,
     planar_trap,
     quadratic_form,
@@ -24,7 +27,7 @@ from rototrap import (
 )
 from rototrap.numerics import Trajectory, rk4_integrate
 
-from conftest import V123, fig1_config, fig2_config, fig3_config, random_config
+from conftest import V123, fig1_config, fig2_config, fig3_config, hard_configs, random_config
 
 
 # -- construction ------------------------------------------------------------
@@ -182,6 +185,31 @@ def test_drift_small_on_stable_trajectory():
     traj = rk4_integrate(lambda t, y: m @ y, x0, 20.0 * t_fast, t_fast / 400.0)
     assert trajectory_drift(build_invariant("C1", cfg), traj) < 1e-8
     assert trajectory_drift(build_invariant("C2_3D", cfg), traj) < 1e-7
+
+
+@settings(max_examples=40)
+@given(
+    cfg=hard_configs(),
+    label=st.sampled_from(["C1", "C2_3D", "C3"]),
+    seed=st.integers(0, 2**32 - 1),
+    flowed=st.booleans(),
+)
+def test_drift_matches_evaluate_invariant_loop(cfg, label, seed, flowed):
+    # the vectorised drift against the per-point evaluate_invariant route,
+    # on a flowed trajectory or on arbitrary states; the tolerance scales
+    # with the absolute-value form, the size of the rounding in C
+    rng = np.random.default_rng(seed)
+    inv = build_invariant(label, cfg)
+    if flowed:
+        m = cfg.dynamics_matrix
+        traj = linear_flow(m, rng.standard_normal(6), 10.0, 0.05 / np.linalg.norm(m, 1))
+    else:
+        traj = Trajectory(np.arange(50.0), 10.0 * rng.standard_normal((50, 6)))
+    vals = np.array([evaluate_invariant(inv, x) for x in traj.states])
+    ref = np.max(np.abs(vals - vals[0])) / (1.0 + abs(vals[0]))
+    x = np.abs(traj.states)
+    scale = np.max(np.einsum("ti,ij,tj->t", x, np.abs(quadratic_form(inv)), x)) / (1.0 + abs(vals[0]))
+    assert abs(trajectory_drift(inv, traj) - ref) <= 1e-13 * scale
 
 
 def test_drift_zero_on_zero_trajectory():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rototrap import (
     ConvergenceFailure,
@@ -11,6 +13,7 @@ from rototrap import (
     cinv3,
     eig_general,
     fmt17,
+    linear_flow,
     planar_stationary_K,
     posdef_min_eig,
     rk4_integrate,
@@ -18,7 +21,7 @@ from rototrap import (
     char_poly_coeffs,
 )
 
-from conftest import fig1_config
+from conftest import fig1_config, hard_configs
 
 
 def test_fmt17_roundtrips():
@@ -87,6 +90,127 @@ def test_rk4_nonfinite_carries_partial_trajectory():
     traj = exc_info.value.trajectory
     assert traj is not None and len(traj.times) >= 1
     assert np.all(np.isfinite(traj.states))
+
+
+# -- linear_flow against the generic stepper ---------------------------------
+
+def _harmonic_forcing(rng, shape, dtype):
+    """f(t) = a cos(w t) + b sin(w t) + c for random a, b, c of a state's shape."""
+    def draw():
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype == complex else x
+
+    a, b, c = draw(), draw(), draw()
+    w = float(rng.uniform(0.1, 3.0))
+    expand = (slice(None),) + (None,) * len(shape)
+
+    def forcing(ts):
+        wt = w * np.asarray(ts, dtype=float)[expand]
+        return a * np.cos(wt) + b * np.sin(wt) + c
+
+    return forcing
+
+
+@settings(max_examples=40)
+@given(
+    cfg=hard_configs(),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.booleans(),
+    forced=st.booleans(),
+    steps=st.integers(1, 120),
+    ragged=st.floats(0.05, 0.95),
+    courant=st.floats(0.01, 0.1),
+    t0=st.floats(-5.0, 5.0),
+)
+def test_linear_flow_matches_rk4(cfg, seed, block, forced, steps, ragged, courant, t0):
+    # (6,) real or (6,3) complex, homogeneous or forced, stable or unstable,
+    # always with a ragged last step: same times bit for bit, states equal
+    # up to the rounding of the one-step map
+    rng = np.random.default_rng(seed)
+    m = cfg.dynamics_matrix
+    dt = courant / np.linalg.norm(m, 1)
+    t_end = t0 + (steps + ragged) * dt
+    if block:
+        shape, dtype = (6, 3), complex
+        y0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    else:
+        shape, dtype = (6,), float
+        y0 = rng.standard_normal(shape)
+    forcing = _harmonic_forcing(rng, shape, dtype) if forced else None
+
+    def rhs(t, y):
+        out = m @ y
+        return out if forcing is None else out + forcing(np.array([t]))[0]
+
+    ref = rk4_integrate(rhs, y0, t_end, dt, t0=t0)
+    traj = linear_flow(m, y0, t_end, dt, forcing=forcing, t0=t0)
+    assert len(ref) == steps + 2
+    assert np.array_equal(traj.times, ref.times)
+    assert traj.states.shape == ref.states.shape
+    assert traj.states.dtype == ref.states.dtype
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
+def test_linear_flow_step_list_matches_rk4():
+    m = fig1_config(0.9).dynamics_matrix
+    y0 = np.ones(6)
+    for t_end, dt in ((1.0, 0.1), (1.05, 0.1), (0.3, 0.1), (0.0, 0.1), (2.0 + 1e-14, 0.5)):
+        ref = rk4_integrate(lambda t, y: m @ y, y0, t_end, dt)
+        assert np.array_equal(linear_flow(m, y0, t_end, dt).times, ref.times)
+
+
+def test_linear_flow_guards():
+    m = fig1_config(0.9).dynamics_matrix
+    y0 = np.ones(6)
+    with pytest.raises(ValueError):
+        linear_flow(m, y0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        linear_flow(m, y0, 1.0, -0.1)
+    with pytest.raises(ValueError):
+        linear_flow(m, y0, -1.0, 0.1)
+    with pytest.raises(ValueError):
+        linear_flow(m, np.ones(5), 1.0, 0.1)
+    with pytest.raises(ValueError):
+        linear_flow(m, y0, 1.0, 0.1, forcing=lambda ts: np.zeros((len(ts), 3)))
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+def test_linear_flow_nonfinite_prefix_matches_rk4(block):
+    # a forcing that turns NaN from t = 0.5 on poisons the same step in both
+    # routes, so both must report the same finite prefix
+    m = fig1_config(0.9).dynamics_matrix
+    y0 = np.ones((6, 3) if block else 6)
+
+    def forcing(ts):
+        ts = np.asarray(ts, dtype=float)
+        bad = np.where(ts >= 0.5, np.nan, 0.0)
+        return bad.reshape(ts.shape + (1,) * y0.ndim) + np.ones(y0.shape)
+
+    def rhs(t, y):
+        return m @ y + forcing(np.array([t]))[0]
+
+    with pytest.raises(NonFiniteState) as ref_info:
+        rk4_integrate(rhs, y0, 1.0, 0.03)
+    with pytest.raises(NonFiniteState) as info:
+        linear_flow(m, y0, 1.0, 0.03, forcing=forcing)
+    ref, traj = ref_info.value.trajectory, info.value.trajectory
+    assert str(info.value) == str(ref_info.value)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
+def test_linear_flow_overflow_carries_finite_prefix():
+    m = 50.0 * np.eye(6)
+    with pytest.raises(NonFiniteState) as info:
+        linear_flow(m, np.ones(6), 100.0, 1e-3)
+    traj = info.value.trajectory
+    assert len(traj) > 1 and np.all(np.isfinite(traj.states))
+    assert traj.states[-1, 0] > 1e300
+    # its full steps are exactly those of a run stopped before the overflow
+    again = linear_flow(m, np.ones(6), traj.times[-1] - 0.5e-3, 1e-3)
+    assert len(again) == len(traj)
+    assert np.array_equal(again.times[:-1], traj.times[:-1])
+    assert np.array_equal(again.states[:-1], traj.states[:-1])
 
 
 def test_eig_diag_and_rotation_generator():

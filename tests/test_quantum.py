@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rototrap import (
     ComplexKappa,
@@ -9,15 +11,18 @@ from rototrap import (
     InInstabilityRegion,
     ModeSet,
     ModeVector,
+    NearSingular,
     NoValidRoot,
     NotNormalizable,
     NotSymmetric,
     RiccatiTrajectory,
     SingularD,
     StepTooLarge,
+    cinv3,
     eigenmodes,
     evolve_riccati,
     line_trap,
+    linear_flow,
     make_config,
     normalization_constant,
     planar_stationary_K,
@@ -30,7 +35,14 @@ from rototrap import (
     wigner_form,
 )
 
-from conftest import V123, fig2_config, fig3_config, random_config, sample_region_omegas
+from conftest import (
+    V123,
+    fig2_config,
+    fig3_config,
+    hard_configs,
+    random_config,
+    sample_region_omegas,
+)
 
 
 SQRT_V = np.diag([1.0, np.sqrt(2.0), np.sqrt(3.0)])
@@ -131,6 +143,56 @@ def test_linearized_caustic_raises():
             (np.pi / 2.0) / 1000.0,
             method="linearized",
         )
+
+
+def _cinv3_reconstruction(k0, trap, t_end, dt):
+    """Per-step K = -i N cinv3(D) along the (D; N) flow: the batched route's reference."""
+    d = k0.shape[0]
+    flow = linear_flow(
+        trap.dynamics_matrix, np.vstack([np.eye(d, dtype=complex), 1j * k0]), t_end, dt
+    )
+    ks = []
+    for t, y in zip(flow.times, flow.states):
+        try:
+            ks.append(-1j * (y[d:] @ cinv3(y[:d])))
+        except NearSingular:
+            return flow.times, np.array(ks), t
+    return flow.times, np.array(ks), None
+
+
+@settings(max_examples=40)
+@given(
+    cfg=hard_configs(),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 150),
+    ragged=st.floats(0.05, 0.95),
+)
+def test_linearized_matches_per_step_cinv3(cfg, seed, steps, ragged):
+    rng = np.random.default_rng(seed)
+    re = rng.uniform(-0.3, 0.3, (3, 3))
+    im = rng.uniform(-0.3, 0.3, (3, 3))
+    k0 = np.eye(3) + 0.5 * (re + re.T) + 0.5j * (im + im.T)
+    dt = 0.05 / np.linalg.norm(cfg.dynamics_matrix, 1)
+    t_end = (steps + ragged) * dt
+    times, ks_ref, t_bad = _cinv3_reconstruction(k0, cfg, t_end, dt)
+    if t_bad is not None:
+        with pytest.raises(SingularD, match=f"t = {t_bad:.6g}:"):
+            evolve_riccati(k0, cfg, t_end, dt, method="linearized")
+        return
+    traj = evolve_riccati(k0, cfg, t_end, dt, method="linearized")
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.ks - ks_ref)) <= 1e-12 * np.max(np.abs(ks_ref))
+
+
+def test_linearized_caustic_names_first_singular_step():
+    # the batched guards must stop where the per-step cinv3 loop stops
+    trap = planar_trap(1.0, 4.0, 0.0)
+    k0 = np.zeros((2, 2), dtype=complex)
+    t_end, dt = np.pi / 2.0 * 1.01, (np.pi / 2.0) / 1000.0
+    _, ks_ref, t_bad = _cinv3_reconstruction(k0, trap, t_end, dt)
+    assert t_bad is not None and len(ks_ref) > 0
+    with pytest.raises(SingularD, match=f"t = {t_bad:.6g}:"):
+        evolve_riccati(k0, trap, t_end, dt, method="linearized")
 
 
 def test_riccati_trajectory_csv_layout():

@@ -70,6 +70,16 @@ def test_dynamics_matrix_block_structure(rng):
     assert np.allclose(m[:3, :3], -cfg.omega_matrix)
 
 
+def test_derived_matrices_cached_read_only():
+    cfg = fig1_config(0.7)
+    for name in ("omega_matrix", "dynamics_matrix"):
+        mat = getattr(cfg, name)
+        assert getattr(cfg, name) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+    assert np.array_equal(cfg.omega_matrix, cross_matrix(cfg.omega_vec))
+
+
 def test_reduced_trap_matrices():
     p = planar_trap(1.0, 2.0, 0.5)
     m = p.dynamics_matrix
