@@ -161,4 +161,12 @@ class NotSymmetric(NumericError):
 
 
 class NearSingular(NumericError):
-    pass
+    """A matrix failed the inversion guard.
+
+    ``index`` is the position of the first failing matrix when a stack of
+    matrices was inverted, else None.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index

@@ -24,6 +24,7 @@ __all__ = [
     "eig_general",
     "posdef_min_eig",
     "cinv3",
+    "cinv3_stack",
     "fmt17",
 ]
 
@@ -156,7 +157,7 @@ def _rk4_step_map(m, h):
     return r, bs
 
 
-def linear_flow(m, y0, t_end, dt, forcing=None, t0=0.0):
+def linear_flow(m, y0, t_end, dt, forcing=None):
     """Integrate dy/dt = M y + f(t) with RK4 taken as its exact one-step map.
 
     On a linear system one classical RK4 step of size h is the affine map
@@ -168,12 +169,13 @@ def linear_flow(m, y0, t_end, dt, forcing=None, t0=0.0):
     B_half = h/6 (4I + 2A + A^2/2) and B1 = h/6 I. The matrices are built
     once per step size, so a step costs one matrix product and one add.
 
-    Steps, times (accumulated as t = t + h), the ValueError guards and the
-    NonFiniteState prefix are those of rk4_integrate; the states differ
-    from it by rounding only. ``y0`` is a length-n vector or an (n, k)
-    block of columns, real or complex. ``forcing``, if given, maps a 1-D
-    array of times to an array of shape (len(times),) + y0.shape; it is
-    called once per run, on every step end and midpoint.
+    The run starts at t = 0. Steps, times (accumulated as t = t + h), the
+    ValueError guards and the NonFiniteState prefix are those of
+    rk4_integrate; the states differ from it by rounding only. ``y0`` is a
+    length-n vector or an (n, k) block of columns, real or complex.
+    ``forcing``, if given, maps a 1-D array of times to an array of shape
+    (len(times),) + y0.shape; it is called once per run, on every step end
+    and midpoint.
     """
     m = np.asarray(m)
     y = np.asarray(y0)
@@ -184,14 +186,13 @@ def linear_flow(m, y0, t_end, dt, forcing=None, t0=0.0):
             f"linear_flow needs an (n, n) matrix and a state of n rows, "
             f"got {m.shape} and {y.shape}"
         )
-    t0 = float(t0)
-    n_full, ragged = _step_count(dt, t0, float(t_end))
+    n_full, ragged = _step_count(dt, 0.0, float(t_end))
     runs = [(0, n_full, float(dt))]
     if ragged is not None:
         runs.append((n_full, n_full + 1, ragged))
     hs = np.concatenate([np.full(hi - lo, h) for lo, hi, h in runs])
     n = len(hs)
-    times = np.add.accumulate(np.concatenate([[t0], hs]))
+    times = np.add.accumulate(np.concatenate([[0.0], hs]))
 
     f = None
     if forcing is not None:
@@ -270,6 +271,12 @@ def posdef_min_eig(s):
     return float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
 
 
+# cinv3's guards: a usable matrix has a finite condition number below
+# _COND_LIMIT and an identity residual ||M M^-1 - I|| of at most _INV_RESIDUAL
+_COND_LIMIT = 1e12
+_INV_RESIDUAL = 1e-10
+
+
 def cinv3(m):
     """Inverse of a 3x3 (or smaller) complex matrix with conditioning guard.
 
@@ -283,10 +290,44 @@ def cinv3(m):
         cond = np.linalg.cond(m)
     except np.linalg.LinAlgError as exc:
         raise NearSingular(f"condition estimate failed: {exc}") from exc
-    if not np.isfinite(cond) or cond >= 1e12:
+    if not np.isfinite(cond) or cond >= _COND_LIMIT:
         raise NearSingular(f"condition number {cond:.3e} >= 1e12")
     inv = np.linalg.inv(m)
     res = np.linalg.norm(m @ inv - np.eye(m.shape[0]))
-    if res > 1e-10:
+    if res > _INV_RESIDUAL:
         raise NearSingular(f"inverse residual {res:.3e} exceeds 1e-10")
+    return inv
+
+
+def cinv3_stack(ms):
+    """Inverses of a stack of matrices, each under cinv3's guards.
+
+    ``ms`` has shape (n, d, d) with d at most 3. The first matrix that
+    cinv3 would refuse raises NearSingular with the same message and its
+    position in the stack as ``index``; matrices after it are not inverted.
+    """
+    ms = np.asarray(ms, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] > 3:
+        raise ValueError("cinv3_stack expects a stack of square matrices up to 3x3")
+    try:
+        cond = np.linalg.cond(ms)
+    except np.linalg.LinAlgError:
+        # the batched estimate does not say which matrix failed; cinv3 does
+        for i, m in enumerate(ms):
+            try:
+                cinv3(m)
+            except NearSingular as exc:
+                raise NearSingular(str(exc), index=i) from exc
+        raise
+    bad_cond = ~(np.isfinite(cond) & (cond < _COND_LIMIT))
+    # inverses are only taken up to the first unusable matrix
+    n_ok = int(np.argmax(bad_cond)) if bad_cond.any() else len(ms)
+    inv = np.linalg.inv(ms[:n_ok])
+    res = np.linalg.norm(ms[:n_ok] @ inv - np.eye(ms.shape[1]), axis=(1, 2))
+    bad_res = res > _INV_RESIDUAL
+    if bad_res.any():
+        i = int(np.argmax(bad_res))
+        raise NearSingular(f"inverse residual {res[i]:.3e} exceeds 1e-10", index=i)
+    if n_ok < len(ms):
+        raise NearSingular(f"condition number {cond[n_ok]:.3e} >= 1e12", index=n_ok)
     return inv

@@ -41,7 +41,7 @@ from .errors import (
     UnstableConfig,
 )
 from .modes import eigenmodes, select_positive_signature_modes
-from .numerics import cinv3, fmt17, linear_flow, posdef_min_eig, rk4_integrate
+from .numerics import cinv3, cinv3_stack, fmt17, linear_flow, posdef_min_eig, rk4_integrate
 
 __all__ = [
     "GaussianState",
@@ -195,36 +195,14 @@ def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
         # dD/dt = N - W D and dN/dt = -V D - W N are M applied to (D; N)
         y0 = np.vstack([np.eye(d, dtype=complex), 1j * k0])
         traj = linear_flow(m, y0, t_end, dt)
-        inv = _batched_inverse(traj.times, traj.states[:, :d])
+        try:
+            inv = cinv3_stack(traj.states[:, :d])
+        except NearSingular as exc:
+            t_bad = traj.times[exc.index]
+            raise SingularD(f"D singular at t = {t_bad:.6g}: {exc}") from exc
         return RiccatiTrajectory(traj.times, -1j * (traj.states[:, d:] @ inv), method)
 
     raise ValueError(f"method must be 'direct' or 'linearized', got {method!r}")
-
-
-def _batched_inverse(times, dd):
-    """D(t)^{-1} for a stack of D matrices, under cinv3's guards.
-
-    The condition number must be finite and below 1e12 and the identity
-    residual ||D D^-1 - I|| at most 1e-10; the first step failing either
-    raises SingularD naming its time.
-    """
-    cond = np.linalg.cond(dd)
-    bad_cond = ~(np.isfinite(cond) & (cond < 1e12))
-    # inverses are only taken up to the first unusable D
-    n_ok = int(np.argmax(bad_cond)) if bad_cond.any() else len(dd)
-    inv = np.linalg.inv(dd[:n_ok])
-    res = np.linalg.norm(dd[:n_ok] @ inv - np.eye(dd.shape[1]), axis=(1, 2))
-    bad_res = res > 1e-10
-    if bad_res.any():
-        i = int(np.argmax(bad_res))
-        raise SingularD(
-            f"D singular at t = {times[i]:.6g}: inverse residual {res[i]:.3e} exceeds 1e-10"
-        )
-    if n_ok < len(dd):
-        raise SingularD(
-            f"D singular at t = {times[n_ok]:.6g}: condition number {cond[n_ok]:.3e} >= 1e12"
-        )
-    return inv
 
 
 def stationary_K_from_modes(cfg, modes=None):

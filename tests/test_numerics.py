@@ -21,6 +21,8 @@ from rototrap import (
     char_poly_coeffs,
 )
 
+from rototrap.numerics import cinv3_stack
+
 from conftest import fig1_config, hard_configs
 
 
@@ -120,16 +122,15 @@ def _harmonic_forcing(rng, shape, dtype):
     steps=st.integers(1, 120),
     ragged=st.floats(0.05, 0.95),
     courant=st.floats(0.01, 0.1),
-    t0=st.floats(-5.0, 5.0),
 )
-def test_linear_flow_matches_rk4(cfg, seed, block, forced, steps, ragged, courant, t0):
+def test_linear_flow_matches_rk4(cfg, seed, block, forced, steps, ragged, courant):
     # (6,) real or (6,3) complex, homogeneous or forced, stable or unstable,
     # always with a ragged last step: same times bit for bit, states equal
     # up to the rounding of the one-step map
     rng = np.random.default_rng(seed)
     m = cfg.dynamics_matrix
     dt = courant / np.linalg.norm(m, 1)
-    t_end = t0 + (steps + ragged) * dt
+    t_end = (steps + ragged) * dt
     if block:
         shape, dtype = (6, 3), complex
         y0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -142,8 +143,8 @@ def test_linear_flow_matches_rk4(cfg, seed, block, forced, steps, ragged, couran
         out = m @ y
         return out if forcing is None else out + forcing(np.array([t]))[0]
 
-    ref = rk4_integrate(rhs, y0, t_end, dt, t0=t0)
-    traj = linear_flow(m, y0, t_end, dt, forcing=forcing, t0=t0)
+    ref = rk4_integrate(rhs, y0, t_end, dt)
+    traj = linear_flow(m, y0, t_end, dt, forcing=forcing)
     assert len(ref) == steps + 2
     assert np.array_equal(traj.times, ref.times)
     assert traj.states.shape == ref.states.shape
@@ -275,3 +276,52 @@ def test_cinv3_near_singular():
     m = np.diag([1.0, 1.0, 1e-15])
     with pytest.raises(NearSingular):
         cinv3(m)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    d=st.integers(1, 3),
+    log_cond=st.floats(0.0, 14.0),
+    poison=st.sampled_from([None, "rank", "nan"]),
+)
+def test_cinv3_stack_matches_cinv3(seed, n, d, log_cond, poison):
+    # condition numbers from about 1e6 trip the residual guard, a rank-deficient
+    # matrix the condition guard and a NaN the failed estimate; the stack must
+    # stop at the first matrix cinv3 refuses, with cinv3's message, and agree
+    # with it on every matrix before that
+    rng = np.random.default_rng(seed)
+    ms = []
+    for _ in range(n):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u, _, vh = np.linalg.svd(g)
+        sv = 10.0 ** -rng.uniform(0.0, log_cond, d)
+        ms.append((u * sv) @ vh)
+    ms = np.array(ms)
+    if poison == "rank":
+        ms[rng.integers(n)] = np.outer(ms[0, :, 0], ms[0, 0, :])
+    elif poison == "nan":
+        ms[rng.integers(n), 0, 0] = np.nan
+    ref = []
+    for m in ms:
+        try:
+            ref.append(cinv3(m))
+        except NearSingular as exc:
+            with pytest.raises(NearSingular) as info:
+                cinv3_stack(ms)
+            assert info.value.index == len(ref)
+            assert str(info.value) == str(exc)
+            return
+    inv = cinv3_stack(ms)
+    assert inv.shape == ms.shape
+    assert np.max(np.abs(inv - np.array(ref))) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_cinv3_stack_guards():
+    with pytest.raises(ValueError):
+        cinv3_stack(np.eye(3))
+    with pytest.raises(ValueError):
+        cinv3_stack(np.ones((2, 4, 4)))
+    with pytest.raises(ValueError):
+        cinv3_stack(np.ones((2, 2, 3)))
