@@ -142,6 +142,7 @@ from .trap import (
     LinearTrap,
     RotationSpec,
     TrapConfig,
+    TrapInvariants,
     TrapPotential,
     ValidatedConfig,
     build_dynamics_matrix,
@@ -153,6 +154,7 @@ from .trap import (
     line_trap,
     make_config,
     planar_trap,
+    trap_invariants,
     validate_config,
 )
 from .verify import CheckResult, VerificationReport, verify_config

@@ -73,24 +73,20 @@ def _print_error_json(code, message, **extra):
     sys.stderr.write(json.dumps(obj) + "\n")
 
 
-def _triple(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _floats(count):
+    def parse(text):
+        parts = text.split(",")
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated numbers")
+        try:
+            vals = np.array([float(p) for p in parts])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not np.all(np.isfinite(vals)):
+            raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
+        return vals
 
-
-def _six(text):
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError("expected six comma-separated numbers")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _build_parser():
@@ -126,7 +122,7 @@ def _build_parser():
     add("ground-state", "stationary squeezed state K matrix (JSON)")
 
     p = add("evolve", "time evolution (CSV trajectory)")
-    p.add_argument("--gravity", type=_triple, default=None, metavar="GX,GY,GZ")
+    p.add_argument("--gravity", type=_floats(3), default=None, metavar="GX,GY,GZ")
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument(
@@ -140,7 +136,7 @@ def _build_parser():
         default="direct",
         help="Riccati integration route (with --riccati)",
     )
-    p.add_argument("--x0", type=_six, default=None, metavar="X,Y,Z,PX,PY,PZ")
+    p.add_argument("--x0", type=_floats(6), default=None, metavar="X,Y,Z,PX,PY,PZ")
     p.add_argument(
         "--k0",
         default=None,
@@ -151,20 +147,35 @@ def _build_parser():
     return parser
 
 
+def _read_json(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidConfig(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path_or_name):
     if path_or_name in FIXTURES:
         path_or_name = fixture_path(path_or_name)
-    try:
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
+    raw = _read_json(path_or_name, "config")
     errs = config_errors(raw)
     if errs:
         raise InvalidConfig("config rejected: " + "; ".join(errs), errors=errs)
     return validate_config(raw)
+
+
+def _load_k0(path):
+    raw = _read_json(path, "K0 file")
+    try:
+        k0 = GaussianState.from_json_obj(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"K0 file is malformed: {exc!r}") from exc
+    if k0.k.shape != (3, 3) or not np.all(np.isfinite(k0.k)):
+        raise InvalidConfig(f"K0 must be a finite 3x3 matrix, got shape {k0.k.shape}")
+    return k0
 
 
 def _json_text(obj):
@@ -212,11 +223,14 @@ def _cmd_ground_state(cfg, args):
 
 
 def _cmd_evolve(cfg, args):
+    if not 0.0 <= args.t_end < np.inf:
+        raise InvalidConfig(f"--t-end must be a finite number >= 0, got {args.t_end}")
+    if args.dt is not None and not 0.0 < args.dt < np.inf:
+        raise InvalidConfig(f"--dt must be a finite number > 0, got {args.dt}")
     dt = args.dt if args.dt is not None else default_forced_dt(cfg)
     if args.riccati:
         if args.k0 is not None:
-            with open(args.k0, "r", encoding="utf-8") as fh:
-                k0 = GaussianState.from_json_obj(json.load(fh))
+            k0 = _load_k0(args.k0)
         else:
             k0 = stationary_K_from_modes(cfg)
         traj = evolve_riccati(k0, cfg, args.t_end, dt, method=args.method)
@@ -275,6 +289,3 @@ def main(argv=None):
     _write_output(text, args.output)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

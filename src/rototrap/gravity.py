@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateD, InsufficientSpan, StepTooLarge
 from .numerics import fmt17, linear_flow
 from .stability import region_map, solve_cubic
-from .trap import char_poly_coeffs
+from .trap import char_poly_coeffs, trap_invariants
 
 __all__ = [
     "DecomposedGravity",
@@ -100,15 +100,10 @@ def resonance_coefficients(cfg):
     omega = Omega section of the characteristic polynomial: P(Omega) with
     omega set to Omega reduces to D Omega^4 + E Omega^2 + F.
     """
-    v = cfg.v
-    n = cfg.axis
-    tr = float(np.trace(v))
-    nvn = float(n @ v @ n)
-    nv2n = float(n @ v @ v @ n)
+    tr, tr_v2, det, nvn, nv2n = trap_invariants(cfg)
     d = -2.0 * (tr - nvn)
-    e = 0.5 * (tr * tr - float(np.trace(v @ v))) + tr * nvn - nv2n
-    f = -float(np.linalg.det(v))
-    return ResonanceCoeffs(d, e, f)
+    e = 0.5 * (tr * tr - tr_v2) + tr * nvn - nv2n
+    return ResonanceCoeffs(d, e, -det)
 
 
 class ResonanceReport:
@@ -202,8 +197,10 @@ def forced_evolve(cfg, g, t_end, dt=None, x0=None):
         x0 = np.zeros(6)
     else:
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (6,) or not np.all(np.isfinite(x0)):
-            raise ValueError(f"x0 must be a finite vector of shape (6,), got shape {x0.shape}")
+        if x0.shape != (6,):
+            raise ValueError(f"x0 must have shape (6,), got shape {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 has non-finite entries: {x0.tolist()}")
 
     def forcing(ts):
         f = np.zeros((len(ts), 6))

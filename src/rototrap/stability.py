@@ -9,8 +9,6 @@ oscillatory window from the sign of the cubic discriminant; together they
 cut the Omega axis into the regions S1, I1, S2, I2, S3.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from typing import NamedTuple, Optional
 
@@ -187,12 +185,8 @@ def classify_chi_roots(roots, tol):
 
 def window_coeffs(cfg):
     """a = n.V.n, b = TrV (n.V.n) - n.V^2.n, c = Det V; all positive."""
-    v = cfg.v
-    n = cfg.axis
-    a = float(n @ v @ n)
-    b = float(np.trace(v)) * a - float(n @ v @ v @ n)
-    c = float(np.linalg.det(v))
-    return WindowCoeffs(a, b, c)
+    inv = cfg.invariants
+    return WindowCoeffs(inv.nvn, inv.tr * inv.nvn - inv.nv2n, inv.det)
 
 
 def exponential_window(cfg):
@@ -362,27 +356,7 @@ def region_of(cfg, omega):
     return region_map(cfg).locate(omega)
 
 
-# atomic per-grid-point work for the scan; order of evaluation is free,
-# matching happens in a sequential post-pass
-def _scan_point(cfg, om):
-    coeffs = char_poly_coeffs(cfg.with_omega(om))
-    roots = solve_cubic(coeffs)
-    try:
-        cls = classify_chi_roots(roots, default_classify_tol(coeffs))
-        label = cls.label
-    except AmbiguousClassification as amb:
-        label = (EXPONENTIAL if amb.side == "exponential" else OSCILLATORY) + "*"
-    return np.array(list(roots)), label
-
-
 _PERMS = [np.array(p) for p in permutations(range(3))]
-
-
-def _n_workers():
-    env = os.environ.get("ROTOTRAP_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 class ScanTable:
@@ -420,10 +394,9 @@ class ScanTable:
 def stability_scan(cfg, omega_grid):
     """Scan chi branches, classes, and regions over a grid of Omega.
 
-    Grid points are evaluated independently (in parallel when
-    ROTOTRAP_THREADS or the default worker count allows), then matched
-    sequentially: each row's roots are assigned to branches by minimizing
-    the distance to a secant extrapolation of the previous two rows.
+    One pass over the grid: at each point the cubic is solved and
+    classified, and its roots are assigned to branches by minimizing the
+    distance to a secant extrapolation of the previous two rows.
     """
     if isinstance(omega_grid, OmegaRange):
         grid = omega_grid.values()
@@ -431,13 +404,6 @@ def stability_scan(cfg, omega_grid):
         grid = np.asarray(omega_grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
             raise ValueError("omega grid must be strictly increasing, length >= 2")
-
-    nw = _n_workers()
-    if nw > 1 and len(grid) >= 64:
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            results = list(ex.map(lambda om: _scan_point(cfg, om), grid))
-    else:
-        results = [_scan_point(cfg, om) for om in grid]
 
     # widen the window search past the grid: the oscillatory window must
     # close inside the bracket even when the grid stops short of it
@@ -451,7 +417,13 @@ def stability_scan(cfg, omega_grid):
     chis = np.empty((n, 3), dtype=complex)
     classes = []
     regions = []
-    for i, (roots, label) in enumerate(results):
+    for i, om in enumerate(grid):
+        coeffs = char_poly_coeffs(cfg.with_omega(om))
+        roots = np.array(list(solve_cubic(coeffs)))
+        try:
+            label = classify_chi_roots(roots, default_classify_tol(coeffs)).label
+        except AmbiguousClassification as amb:
+            label = (EXPONENTIAL if amb.side == "exponential" else OSCILLATORY) + "*"
         if i == 0:
             chis[0] = roots
         else:
@@ -459,7 +431,7 @@ def stability_scan(cfg, omega_grid):
             best = min(_PERMS, key=lambda p: np.sum(np.abs(roots[p] - pred) ** 2))
             chis[i] = roots[best]
         classes.append(label)
-        regions.append(str(rmap.locate(grid[i])))
+        regions.append(str(rmap.locate(om)))
 
     warnings = []
     seen = [r.rstrip("*") for r in regions]

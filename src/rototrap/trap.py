@@ -35,6 +35,7 @@ __all__ = [
     "TrapConfig",
     "ValidatedConfig",
     "CharPolyCoeffs",
+    "TrapInvariants",
     "LinearTrap",
     "cross_matrix",
     "make_config",
@@ -44,6 +45,7 @@ __all__ = [
     "config_errors",
     "validate_config",
     "build_dynamics_matrix",
+    "trap_invariants",
     "char_poly_coeffs",
     "char_poly_from_matrix",
 ]
@@ -146,14 +148,6 @@ class RotationSpec:
         self.axis = axis / np.linalg.norm(axis)
         self.axis.setflags(write=False)
 
-    @property
-    def omega_vec(self):
-        return self.omega * self.axis
-
-    @property
-    def omega_matrix(self):
-        return cross_matrix(self.omega_vec)
-
     def __repr__(self):
         return f"RotationSpec(omega={self.omega}, axis={self.axis.tolist()})"
 
@@ -193,6 +187,7 @@ class ValidatedConfig:
         self.omega_unit = config.omega_unit
         self._w = None
         self._m = None
+        self._inv = None
 
     @property
     def omega_vec(self):
@@ -212,15 +207,23 @@ class ValidatedConfig:
             self._m.setflags(write=False)
         return self._m
 
+    @property
+    def invariants(self):
+        if self._inv is None:
+            self._inv = trap_invariants(self)
+        return self._inv
+
     def with_omega(self, omega):
-        """Same potential and axis at a different rotation rate."""
-        return ValidatedConfig(
+        """Same potential and axis, hence the same invariants, at a new rate."""
+        other = ValidatedConfig(
             TrapConfig(
                 self.config.potential,
                 RotationSpec(omega, self.axis),
                 self.omega_unit,
             )
         )
+        other._inv = self.invariants
+        return other
 
     def __repr__(self):
         return (
@@ -258,13 +261,7 @@ class LinearTrap:
 
     @property
     def dynamics_matrix(self):
-        d = self.dim
-        m = np.zeros((2 * d, 2 * d))
-        m[:d, :d] = -self.omega_matrix
-        m[:d, d:] = np.eye(d)
-        m[d:, :d] = -self.v
-        m[d:, d:] = -self.omega_matrix
-        return m
+        return build_dynamics_matrix(self)
 
 
 def planar_trap(vx, vy, omega):
@@ -373,13 +370,14 @@ def validate_config(cfg):
 # -- dynamics matrix and characteristic polynomial ---------------------------
 
 def build_dynamics_matrix(cfg):
-    """The 6x6 generator M of the corotating-frame flow dX/dt = M X."""
+    """The 2d x 2d generator M of the corotating-frame flow dX/dt = M X."""
+    d = cfg.dim
     w = cfg.omega_matrix
-    m = np.zeros((6, 6))
-    m[:3, :3] = -w
-    m[:3, 3:] = np.eye(3)
-    m[3:, :3] = -cfg.v
-    m[3:, 3:] = -w
+    m = np.zeros((2 * d, 2 * d))
+    m[:d, :d] = -w
+    m[:d, d:] = np.eye(d)
+    m[d:, :d] = -cfg.v
+    m[d:, d:] = -w
     return m
 
 
@@ -391,6 +389,26 @@ class CharPolyCoeffs(NamedTuple):
     c: float
 
 
+class TrapInvariants(NamedTuple):
+    """Tr V, Tr V^2, Det V, n.V.n, n.V^2.n: all the polynomials in Omega^2 need."""
+
+    tr: float
+    tr_v2: float
+    det: float
+    nvn: float
+    nv2n: float
+
+
+def trap_invariants(cfg):
+    """TrapInvariants of cfg.v and cfg.axis; the rotation rate plays no part."""
+    v, n = cfg.v, cfg.axis
+    v2 = v @ v
+    return TrapInvariants(
+        float(np.trace(v)), float(np.trace(v2)), float(np.linalg.det(v)),
+        float(n @ v @ n), float(n @ v2 @ n),
+    )
+
+
 def char_poly_coeffs(cfg):
     """Invariant coefficients A, B, C from the closed scalar forms.
 
@@ -398,19 +416,14 @@ def char_poly_coeffs(cfg):
     B = Omega^4 + Omega^2 (3 n.V.n - Tr V) + ((Tr V)^2 - Tr V^2) / 2
     C = Omega^2 (Tr V - Omega^2)(n.V.n) - Omega^2 (n.V^2.n) - Det V
 
-    All three depend on V and n only through rotational invariants, which the
+    All three depend on V and n only through cfg.invariants, which the
     dual route char_poly_from_matrix cross-checks.
     """
-    v = cfg.v
-    n = cfg.axis
+    tr, tr_v2, det, nvn, nv2n = cfg.invariants
     om2 = cfg.omega ** 2
-    tr = float(np.trace(v))
-    v2 = v @ v
-    nvn = float(n @ v @ n)
-    nv2n = float(n @ v2 @ n)
     a = -2.0 * om2 - tr
-    b = om2 * om2 + om2 * (3.0 * nvn - tr) + 0.5 * (tr * tr - float(np.trace(v2)))
-    c = om2 * (tr - om2) * nvn - om2 * nv2n - float(np.linalg.det(v))
+    b = om2 * om2 + om2 * (3.0 * nvn - tr) + 0.5 * (tr * tr - tr_v2)
+    c = om2 * (tr - om2) * nvn - om2 * nv2n - det
     return CharPolyCoeffs(a, b, c)
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, fixtures, error codes, CSV layout."""
 
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import rototrap
 from rototrap import (
     GaussianState,
     OmegaRange,
@@ -110,14 +112,10 @@ def test_scan_fig2_constant_branch(capsys):
         assert abs(float(row[2 + 2 * j])) <= 1e-12
 
 
-def test_scan_byte_identical_across_thread_counts(capsys, monkeypatch):
-    monkeypatch.setenv("ROTOTRAP_THREADS", "1")
+def test_scan_repeated_call_is_byte_identical(capsys):
     _, one, _ = run_cli(capsys, "scan", "fig1", "--omega-max", "3", "--steps", "200")
-    monkeypatch.setenv("ROTOTRAP_THREADS", "4")
-    _, four, _ = run_cli(capsys, "scan", "fig1", "--omega-max", "3", "--steps", "200")
     _, again, _ = run_cli(capsys, "scan", "fig1", "--omega-max", "3", "--steps", "200")
-    assert one == four
-    assert four == again
+    assert one == again
 
 
 def test_scan_output_file_matches_stdout(capsys, tmp_path):
@@ -381,6 +379,41 @@ def test_evolve_bad_gravity_arity(capsys):
     assert last_error_json(err)["error"] == "InvalidConfig"
 
 
+K0_FILES = {
+    "not_json": "not json at all",
+    "k_not_rows": json.dumps({"k": 5}),
+    "k_2x2": json.dumps(GaussianState(np.eye(2)).to_json_obj()),
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--riccati", "--k0", "missing"],
+        ["--riccati", "--k0", "not_json"],
+        ["--riccati", "--k0", "k_not_rows"],
+        ["--riccati", "--k0", "k_2x2"],
+        ["--gravity", "nan,0,0"],
+        ["--x0", "nan,0,0,0,0,0"],
+        ["--dt", "0"],
+        ["--dt", "-1"],
+        ["--riccati", "--dt", "0"],
+        ["--riccati", "--dt", "-1"],
+        ["--t-end", "-1"],
+        ["--t-end", "inf"],
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_evolve_bad_input_is_config_error(capsys, tmp_path, args):
+    for name, text in K0_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    args = [str(tmp_path / a) if a in K0_FILES or a == "missing" else a for a in args]
+    code, out, err = run_cli(capsys, "evolve", "fig2", "--t-end", "0.1", *args)
+    assert code == 1
+    assert out == ""
+    assert last_error_json(err)["error"] == "InvalidConfig"
+
+
 # -- verify ------------------------------------------------------------------
 
 def test_verify_passes_on_all_fixtures(capsys):
@@ -463,6 +496,19 @@ def test_unknown_fixture_name_is_treated_as_path(capsys):
 
 
 # -- console script ----------------------------------------------------------
+
+def test_python_m_rototrap_matches_in_process_main(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rototrap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rototrap", "boundaries", "fig1"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, "boundaries", "fig1")
+    assert code == 0
+    assert proc.stdout == out
+
 
 def test_console_script_entry_point():
     proc = subprocess.run(

@@ -261,9 +261,11 @@ def test_forced_evolve_matches_public_drive_route(x0):
 
 def test_forced_evolve_rejects_bad_x0():
     cfg = fig2_config(0.5)
-    for bad in ([0.0] * 5, np.zeros((6, 1)), [0.0, 0.0, np.nan, 0.0, 0.0, 0.0]):
-        with pytest.raises(ValueError):
+    for bad in ([0.0] * 5, np.zeros((6, 1))):
+        with pytest.raises(ValueError, match="shape"):
             forced_evolve(cfg, [1.0, 0.0, 0.0], 0.1, dt=0.01, x0=bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        forced_evolve(cfg, [1.0, 0.0, 0.0], 0.1, dt=0.01, x0=[0.0, 0.0, np.nan, 0.0, 0.0, 0.0])
 
 
 def test_resonant_drive_grows_linearly():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from rototrap import (
     CharPolyCoeffs,
@@ -19,10 +20,20 @@ from rototrap import (
     line_trap,
     make_config,
     planar_trap,
+    resonance_coefficients,
+    trap_invariants,
     validate_config,
+    window_coeffs,
 )
 
-from conftest import V123, diagonal_axis, fig1_config, random_config, random_rotation
+from conftest import (
+    V123,
+    diagonal_axis,
+    fig1_config,
+    hard_configs,
+    random_config,
+    random_rotation,
+)
 
 
 # -- cross product matrix ----------------------------------------------------
@@ -130,6 +141,32 @@ def test_char_poly_matrix_route_guards():
     m[0, 0] += 1e-3  # breaks the trace-free block structure
     with pytest.raises(OddPowersPresent):
         char_poly_from_matrix(m)
+
+
+@settings(max_examples=60)
+@given(cfg=hard_configs())
+def test_trap_invariants_have_one_owner(cfg):
+    # cfg comes from with_omega, so its invariants were passed on, not rebuilt
+    inv = np.array(cfg.invariants)
+    fresh = np.array(trap_invariants(cfg))
+    assert np.all(np.abs(inv - fresh) <= 1e-14 * np.abs(fresh))
+
+    cp = char_poly_coeffs(cfg)
+    oracle = char_poly_from_matrix(cfg.dynamics_matrix)
+    scale = max(1.0, *np.abs(cp))
+    assert np.all(np.abs(np.array(cp) - np.array(oracle)) <= 1e-10 * scale)
+
+    # window_coeffs is C(Omega) read as a quadratic in Omega^2
+    x = cfg.omega ** 2
+    a, b, c = window_coeffs(cfg)
+    terms = [a * x * x, b * x, c, cp.c]
+    assert abs(-a * x * x + b * x - c - cp.c) <= 1e-12 * max(1.0, *np.abs(terms))
+
+    # resonance_coefficients is P(omega) on the section omega = Omega
+    d, e, f = resonance_coefficients(cfg)
+    terms = [x ** 3, cp.a * x * x, cp.b * x, cp.c, d * x * x, e * x, f]
+    gap = (x ** 3 + cp.a * x * x + cp.b * x + cp.c) - (d * x * x + e * x + f)
+    assert abs(gap) <= 1e-12 * max(1.0, *np.abs(terms))
 
 
 def test_char_poly_coeffs_is_named_tuple():
