@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateD, InsufficientSpan, StepTooLarge
-from .numerics import fmt17, linear_flow
+from .numerics import _csv_text, linear_flow
 from .stability import region_map, solve_cubic
 from .trap import char_poly_coeffs, trap_invariants
 
@@ -296,9 +296,5 @@ def growth_classification(traj, rotation_period):
 
 def trajectory_to_csv(traj):
     """Phase-space trajectory as CSV with header t,x,y,z,px,py,pz."""
-    lines = ["t,x,y,z,px,py,pz"]
-    for i in range(len(traj)):
-        row = [fmt17(traj.times[i])]
-        row += [fmt17(v) for v in np.real(traj.states[i])]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    cols = ["t", "x", "y", "z", "px", "py", "pz"]
+    return _csv_text(cols, np.column_stack([traj.times, np.real(traj.states)]))

@@ -1,8 +1,10 @@
 """Shared numerical kernels.
 
-Fixed-step RK4 for Riccati systems and its exact one-step map for linear
-ones, dense nonsymmetric eigendecomposition, positive-definiteness tests,
-and small complex-matrix inversion. Fixed-step integration is deliberate:
+Generic fixed-step RK4, which tests keep as the oracle of the fused
+steppers, the step grid and finite-prefix rule those steppers share, RK4's
+exact one-step map for linear systems, dense nonsymmetric
+eigendecomposition, positive-definiteness tests, small complex-matrix
+inversion and CSV number formatting. Fixed-step integration is deliberate:
 every system here is small and smooth, and reproducible CSV output matters
 more than adaptive speed.
 """
@@ -32,6 +34,18 @@ __all__ = [
 def fmt17(x):
     """Format a real number with 17 significant digits, locale-free."""
     return format(float(x), ".17g")
+
+
+def _csv_text(header, table):
+    """CSV of a real 2-D table under a header row, every value as fmt17 writes it."""
+    row = ",".join(["{:.17g}"] * len(header))
+    table = np.asarray(table, dtype=float)
+    lines = [",".join(header)]
+    # a block of rows at a time, so only one block's Python floats are alive
+    for lo in range(0, len(table), 4096):
+        lines += [row.format(*vals) for vals in table[lo: lo + 4096].tolist()]
+    lines.append("")  # the trailing newline, without copying the joined text
+    return "\n".join(lines)
 
 
 class OmegaRange:
@@ -95,11 +109,13 @@ def _step_count(dt, t0, t_end):
     The ragged step is None when the full steps land on t_end within
     roundoff; the 1e-12 slack avoids a spurious tiny final step.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     span = t_end - t0
     if span < 0:
-        raise ValueError("t_end must be >= t0")
+        raise ValueError(f"t_end = {t_end} lies before the start time {t0}")
     n_full = int(np.floor(span / dt + 1e-12))
     rem = span - n_full * dt
     return n_full, (rem if rem > 1e-12 * max(1.0, abs(t_end)) else None)
@@ -139,6 +155,21 @@ def rk4_integrate(rhs, y0, t_end, dt, t0=0.0):
         times.append(t)
         states.append(y.copy())
     return Trajectory(times, states)
+
+
+def _step_runs(dt, t_end):
+    """The steps of a fixed-step run from t = 0 to t_end, as rk4_integrate takes them.
+
+    Returns the runs (lo, hi, h) of equal steps (steps lo..hi-1 have size
+    h), the step sizes, and the n + 1 times, accumulated as t = t + h so
+    they are bit-identical to rk4_integrate's.
+    """
+    n_full, ragged = _step_count(dt, 0.0, float(t_end))
+    runs = [(0, n_full, float(dt))]
+    if ragged is not None:
+        runs.append((n_full, n_full + 1, ragged))
+    hs = np.concatenate([np.full(hi - lo, h) for lo, hi, h in runs])
+    return runs, hs, np.add.accumulate(np.concatenate([[0.0], hs]))
 
 
 def _rk4_step_map(m, h):
@@ -186,13 +217,8 @@ def linear_flow(m, y0, t_end, dt, forcing=None):
             f"linear_flow needs an (n, n) matrix and a state of n rows, "
             f"got {m.shape} and {y.shape}"
         )
-    n_full, ragged = _step_count(dt, 0.0, float(t_end))
-    runs = [(0, n_full, float(dt))]
-    if ragged is not None:
-        runs.append((n_full, n_full + 1, ragged))
-    hs = np.concatenate([np.full(hi - lo, h) for lo, hi, h in runs])
+    runs, hs, times = _step_runs(dt, t_end)
     n = len(hs)
-    times = np.add.accumulate(np.concatenate([[0.0], hs]))
 
     f = None
     if forcing is not None:
@@ -218,7 +244,17 @@ def linear_flow(m, y0, t_end, dt, forcing=None):
             for i in range(lo, hi):
                 y = r @ y if f is None else r @ y + inc[i - lo]
                 states[i + 1] = y
-    finite = np.isfinite(states.reshape(n + 1, -1)).all(axis=1)
+    return _finite_trajectory(times, states)
+
+
+def _finite_trajectory(times, states):
+    """Trajectory(times, states), or NonFiniteState with rk4_integrate's prefix.
+
+    A stepper that fills ``states`` without checking each step hands them
+    here; the prefix ends before the first non-finite state, as it would
+    had the run stopped there.
+    """
+    finite = np.isfinite(states.reshape(len(states), -1)).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         raise NonFiniteState(

@@ -41,7 +41,15 @@ from .errors import (
     UnstableConfig,
 )
 from .modes import eigenmodes, select_positive_signature_modes
-from .numerics import cinv3, cinv3_stack, fmt17, linear_flow, posdef_min_eig, rk4_integrate
+from .numerics import (
+    _csv_text,
+    _finite_trajectory,
+    _step_runs,
+    cinv3,
+    cinv3_stack,
+    linear_flow,
+    posdef_min_eig,
+)
 
 __all__ = [
     "GaussianState",
@@ -128,6 +136,46 @@ def riccati_rhs(k, cfg):
     return 0.5 * (out + out.T)
 
 
+def _direct_flow(k0, cfg, t_end, dt):
+    """Classical RK4 on the Riccati equation from K(0) = K0, with rk4_integrate's steps.
+
+    The fused form of rk4_integrate on riccati_rhs: K0 passes riccati_rhs's
+    symmetry check once, iV and W are bound once, and each stage takes one
+    stacked product [-iK; -W] @ K = [-iK^2; -WK]. W is antisymmetric, so
+    for symmetric K the commutator term is -[W, K] = -WK + KW =
+    -WK - (WK)^T. The state is symmetrized once per step. Times and the
+    NonFiniteState prefix are rk4_integrate's; the states differ from it by
+    rounding only.
+    """
+    d = k0.shape[0]
+    iv = 1j * cfg.v
+    stack = np.empty((2 * d, d), dtype=complex)
+    stack[d:] = -cfg.omega_matrix
+
+    def rhs(k):
+        stack[:d] = -1j * k
+        prod = stack @ k
+        wk = prod[d:]
+        return prod[:d] + iv + wk + wk.T
+
+    runs, _, times = _step_runs(dt, t_end)
+    ks = np.empty((len(times), d, d), dtype=complex)
+    # an overflowing run is reported by _finite_trajectory, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        riccati_rhs(k0, cfg)  # raises NotSymmetric for an asymmetric K0
+        y = ks[0] = k0
+        for lo, hi, h in runs:
+            half, sixth = 0.5 * h, h / 6.0
+            for i in range(lo + 1, hi + 1):
+                k1 = rhs(y)
+                k2 = rhs(y + half * k1)
+                k3 = rhs(y + half * k2)
+                k4 = rhs(y + h * k3)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                y = ks[i] = 0.5 * (y + y.T)
+    return _finite_trajectory(times, ks)
+
+
 # independent real components of symmetric K, upper triangle row-major
 def _triu_indices(d):
     return [(i, j) for i in range(d) for j in range(i, d)]
@@ -149,24 +197,20 @@ class RiccatiTrajectory:
         return self.ks[-1]
 
     def to_csv(self):
-        d = self.ks.shape[1]
+        iu, ju = np.array(_triu_indices(self.ks.shape[1])).T
         cols = ["t"]
-        for i, j in _triu_indices(d):
+        for i, j in zip(iu, ju):
             cols += [f"k{i + 1}{j + 1}_re", f"k{i + 1}{j + 1}_im"]
-        lines = [",".join(cols)]
-        for row in range(len(self.times)):
-            vals = [fmt17(self.times[row])]
-            for i, j in _triu_indices(d):
-                z = self.ks[row, i, j]
-                vals += [fmt17(z.real), fmt17(z.imag)]
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
+        z = self.ks[:, iu, ju]
+        re_im = np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
+        return _csv_text(cols, np.column_stack([self.times, re_im]))
 
 
 def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
     """Integrate the Riccati flow by one of two independent routes.
 
-    direct runs RK4 on the Riccati equation itself; linearized runs RK4, as
+    direct runs RK4 on the Riccati equation itself (_direct_flow, whose
+    test oracle is rk4_integrate on riccati_rhs); linearized runs RK4, as
     the linear_flow one-step map, on the (D; N) column block from D(0) = I,
     N(0) = i K0 and reconstructs K = -i N D^{-1} at every step. The two
     must agree within 1e-7 over a run, which is the standing cross-check on
@@ -184,11 +228,7 @@ def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
             f"dt = {dt:.3g} too large for ||M||_1 = {np.linalg.norm(m, 1):.3g}"
         )
     if method == "direct":
-
-        def rhs(t, y):
-            return riccati_rhs(y, cfg)
-
-        traj = rk4_integrate(rhs, k0, t_end, dt)
+        traj = _direct_flow(k0, cfg, t_end, dt)
         return RiccatiTrajectory(traj.times, traj.states, method)
 
     if method == "linearized":

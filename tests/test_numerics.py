@@ -9,16 +9,20 @@ from rototrap import (
     NonFiniteState,
     NotSymmetric,
     OmegaRange,
+    RiccatiTrajectory,
     Trajectory,
     cinv3,
     eig_general,
+    evolve_riccati,
     fmt17,
+    forced_evolve,
     linear_flow,
     planar_stationary_K,
     posdef_min_eig,
     rk4_integrate,
     solve_cubic,
     char_poly_coeffs,
+    trajectory_to_csv,
 )
 
 from rototrap.numerics import cinv3_stack
@@ -29,6 +33,31 @@ from conftest import fig1_config, hard_configs
 def test_fmt17_roundtrips():
     for x in [0.1, 1.0 / 3.0, 1e-17, -2.5e300, 0.0]:
         assert float(fmt17(x)) == x
+
+
+def test_csv_writers_match_per_value_fmt17(rng):
+    # the per-value fmt17 loops the writers replaced are the reference; 9000
+    # rows span three blocks of the row formatter
+    n = 9000
+    times = np.cumsum(rng.uniform(1e-3, 1e-2, n))
+    states = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-300, 300, (n, 6))
+    states[0] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    ref = "t,x,y,z,px,py,pz\n" + "".join(
+        ",".join(fmt17(v) for v in (t, *x)) + "\n" for t, x in zip(times, states)
+    )
+    assert trajectory_to_csv(Trajectory(times, states)) == ref
+
+    for d in (1, 3):
+        parts = rng.standard_normal((2, n, d, d)) * 10.0 ** rng.integers(-300, 300, (2, n, d, d))
+        ks = parts[0] + 1j * parts[1]
+        pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        ref = ",".join(["t"] + [f"k{i + 1}{j + 1}_{p}" for i, j in pairs for p in ("re", "im")])
+        ref += "\n" + "".join(
+            ",".join([fmt17(t)] + [fmt17(f(k[i, j])) for i, j in pairs for f in (np.real, np.imag)])
+            + "\n"
+            for t, k in zip(times, ks)
+        )
+        assert RiccatiTrajectory(times, ks, "direct").to_csv() == ref
 
 
 def test_omega_range_invariants():
@@ -173,6 +202,37 @@ def test_linear_flow_guards():
         linear_flow(m, np.ones(5), 1.0, 0.1)
     with pytest.raises(ValueError):
         linear_flow(m, y0, 1.0, 0.1, forcing=lambda ts: np.zeros((len(ts), 3)))
+
+
+# every fixed-step entry point, called as (t_end, dt) on fig1 at Omega = 0.9
+_FIXED_STEP_RUNS = {
+    "linear_flow": lambda t_end, dt: linear_flow(
+        fig1_config(0.9).dynamics_matrix, np.ones(6), t_end, dt
+    ),
+    "rk4_integrate": lambda t_end, dt: rk4_integrate(lambda t, y: -y, np.ones(6), t_end, dt),
+    "forced_evolve": lambda t_end, dt: forced_evolve(fig1_config(0.9), [0.0, 0.0, -1.0], t_end, dt),
+    "riccati_direct": lambda t_end, dt: evolve_riccati(
+        np.eye(3, dtype=complex), fig1_config(0.9), t_end, dt, method="direct"
+    ),
+    "riccati_linearized": lambda t_end, dt: evolve_riccati(
+        np.eye(3, dtype=complex), fig1_config(0.9), t_end, dt, method="linearized"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, message",
+    [
+        (np.inf, 1e-2, "t_end must be finite, got inf"),
+        (np.nan, 1e-2, "t_end must be finite, got nan"),
+        (1.0, np.nan, "dt must be finite and positive, got nan"),
+    ],
+    ids=["t_end_inf", "t_end_nan", "dt_nan"],
+)
+@pytest.mark.parametrize("entry", sorted(_FIXED_STEP_RUNS))
+def test_non_finite_time_span_is_value_error(entry, t_end, dt, message):
+    with pytest.raises(ValueError, match=message):
+        _FIXED_STEP_RUNS[entry](t_end, dt)
 
 
 @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rototrap import (
@@ -13,8 +13,10 @@ from rototrap import (
     ModeVector,
     NearSingular,
     NoValidRoot,
+    NonFiniteState,
     NotNormalizable,
     NotSymmetric,
+    NumericError,
     RiccatiTrajectory,
     SingularD,
     StepTooLarge,
@@ -29,6 +31,7 @@ from rototrap import (
     planar_trap,
     region_map,
     riccati_rhs,
+    rk4_integrate,
     select_positive_signature_modes,
     stationary_K_from_modes,
     wigner_decompose_into_invariants,
@@ -145,6 +148,13 @@ def test_linearized_caustic_raises():
         )
 
 
+def _symmetric_k0(rng, d):
+    """An exactly symmetric complex K0 near the identity."""
+    re = rng.uniform(-0.3, 0.3, (d, d))
+    im = rng.uniform(-0.3, 0.3, (d, d))
+    return np.eye(d) + 0.5 * (re + re.T) + 0.5j * (im + im.T)
+
+
 def _cinv3_reconstruction(k0, trap, t_end, dt):
     """Per-step K = -i N cinv3(D) along the (D; N) flow: the batched route's reference."""
     d = k0.shape[0]
@@ -168,10 +178,7 @@ def _cinv3_reconstruction(k0, trap, t_end, dt):
     ragged=st.floats(0.05, 0.95),
 )
 def test_linearized_matches_per_step_cinv3(cfg, seed, steps, ragged):
-    rng = np.random.default_rng(seed)
-    re = rng.uniform(-0.3, 0.3, (3, 3))
-    im = rng.uniform(-0.3, 0.3, (3, 3))
-    k0 = np.eye(3) + 0.5 * (re + re.T) + 0.5j * (im + im.T)
+    k0 = _symmetric_k0(np.random.default_rng(seed), 3)
     dt = 0.05 / np.linalg.norm(cfg.dynamics_matrix, 1)
     t_end = (steps + ragged) * dt
     times, ks_ref, t_bad = _cinv3_reconstruction(k0, cfg, t_end, dt)
@@ -193,6 +200,86 @@ def test_linearized_caustic_names_first_singular_step():
     assert t_bad is not None and len(ks_ref) > 0
     with pytest.raises(SingularD, match=f"t = {t_bad:.6g}:"):
         evolve_riccati(k0, trap, t_end, dt, method="linearized")
+
+
+# -- the direct route against its oracle, rk4_integrate on riccati_rhs ------
+
+def _rk4_on_riccati_rhs(k0, trap, t_end, dt):
+    return rk4_integrate(lambda t, y: riccati_rhs(y, trap), k0, t_end, dt)
+
+
+def _assert_direct_matches_oracle(k0, trap, steps, ragged):
+    # steps full steps and a ragged last one of ragged * dt
+    dt = 0.05 / np.linalg.norm(trap.dynamics_matrix, 1)
+    t_end = (steps + ragged) * dt
+    ref = _rk4_on_riccati_rhs(k0, trap, t_end, dt)
+    traj = evolve_riccati(k0, trap, t_end, dt, method="direct")
+    assert len(ref) == steps + 2
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.ks - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
+@settings(max_examples=40)
+@given(
+    cfg=hard_configs(),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 150),
+    ragged=st.floats(0.05, 0.95),
+)
+def test_direct_matches_rk4_on_riccati_rhs(cfg, seed, steps, ragged):
+    k0 = _symmetric_k0(np.random.default_rng(seed), 3)
+    _assert_direct_matches_oracle(k0, cfg, steps, ragged)
+
+
+@pytest.mark.parametrize(
+    "trap", [line_trap(1.7), planar_trap(1.0, 2.5, 0.6)], ids=["1d", "2d"]
+)
+def test_direct_matches_rk4_on_riccati_rhs_below_3d(trap, rng):
+    k0 = _symmetric_k0(rng, trap.dim)
+    _assert_direct_matches_oracle(k0, trap, 237, 0.4)
+
+
+def test_direct_rejects_asymmetric_k0():
+    cfg = fig2_config(0.5)
+    k0 = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotSymmetric):
+        evolve_riccati(k0, cfg, 1.0, 1e-2, method="direct")
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e3], ids=["first_step", "third_step"])
+def test_direct_overflow_reports_oracle_prefix(scale):
+    # RK4 with h |K| >> 1 blows up: 1e160 overflows in the first stage,
+    # 1e3 after two finite steps
+    cfg = fig2_config(0.5)
+    k0 = scale * np.eye(3, dtype=complex) + 0.1j * np.ones((3, 3))
+    with pytest.raises(NonFiniteState) as ref_info, np.errstate(over="ignore", invalid="ignore"):
+        _rk4_on_riccati_rhs(k0, cfg, 1.0, 1e-2)
+    with pytest.raises(NonFiniteState) as info:
+        evolve_riccati(k0, cfg, 1.0, 1e-2, method="direct")
+    ref, traj = ref_info.value.trajectory, info.value.trajectory
+    assert str(info.value) == str(ref_info.value)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.states[0], k0)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
+@settings(max_examples=20)
+@given(cfg=hard_configs(), seed=st.integers(0, 2**32 - 1))
+def test_direct_and_linearized_agree_on_hard_configs(cfg, seed):
+    # from a small symmetric perturbation of the stationary state, which
+    # keeps Re K positive definite, on draws where that state exists
+    try:
+        k_star = stationary_K_from_modes(cfg)
+    except NumericError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    re = rng.uniform(-0.05, 0.05, (3, 3)) * k_star.re_min_eig()
+    im = rng.uniform(-0.05, 0.05, (3, 3))
+    k0 = k_star.k + 0.5 * (re + re.T) + 0.5j * (im + im.T)
+    dt = 0.02 / np.linalg.norm(cfg.dynamics_matrix, 1)
+    a = evolve_riccati(k0, cfg, 5.0, dt, method="direct")
+    b = evolve_riccati(k0, cfg, 5.0, dt, method="linearized")
+    assert np.max(np.abs(a.ks - b.ks)) < 1e-7
 
 
 def test_riccati_trajectory_csv_layout():
