@@ -140,10 +140,7 @@ from .stability import (
 from .trap import (
     CharPolyCoeffs,
     LinearTrap,
-    RotationSpec,
-    TrapConfig,
     TrapInvariants,
-    TrapPotential,
     ValidatedConfig,
     build_dynamics_matrix,
     char_poly_coeffs,

@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateD, InsufficientSpan, StepTooLarge
-from .numerics import _csv_text, linear_flow
+from .errors import DegenerateD, InsufficientSpan
+from .numerics import _check_step_bound, _csv_text, linear_flow
 from .stability import region_map, solve_cubic
-from .trap import char_poly_coeffs, trap_invariants
+from .trap import char_poly_coeffs
 
 __all__ = [
     "DecomposedGravity",
@@ -100,7 +100,7 @@ def resonance_coefficients(cfg):
     omega = Omega section of the characteristic polynomial: P(Omega) with
     omega set to Omega reduces to D Omega^4 + E Omega^2 + F.
     """
-    tr, tr_v2, det, nvn, nv2n = trap_invariants(cfg)
+    tr, tr_v2, det, nvn, nv2n = cfg.invariants
     d = -2.0 * (tr - nvn)
     e = 0.5 * (tr * tr - tr_v2) + tr * nvn - nv2n
     return ResonanceCoeffs(d, e, -det)
@@ -190,8 +190,7 @@ def forced_evolve(cfg, g, t_end, dt=None, x0=None):
     if dt is None:
         dt = default_forced_dt(cfg)
     m = cfg.dynamics_matrix
-    if dt * np.linalg.norm(m, 1) > 0.1:
-        raise StepTooLarge(f"dt = {dt:.3g} too large for ||M||_1 = {np.linalg.norm(m, 1):.3g}")
+    _check_step_bound(dt, m)
     drive = _rotating_drive(decompose_gravity(g, cfg.axis), cfg.omega)
     if x0 is None:
         x0 = np.zeros(6)
@@ -224,6 +223,26 @@ def _linfit(x, y):
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     se = np.sqrt(ss_res / ((n - 2) * sxx)) if n > 2 else np.inf
     return slope, r2, se
+
+
+def _window_peaks(t, amp, period, n_win):
+    """Centres and amp maxima of the non-empty windows [lo, lo + period).
+
+    lo = t[0] + k period for k < n_win over the increasing times t; a
+    window that holds no sample is skipped. The bounds come from one
+    searchsorted each and the maxima from one reduceat over the
+    interleaved bounds, whose odd slots (the gaps between windows) are
+    dropped.
+    """
+    lo = t[0] + np.arange(n_win) * period
+    starts = np.searchsorted(t, lo)
+    ends = np.searchsorted(t, lo + period)
+    keep = ends > starts
+    bounds = np.column_stack([starts[keep], ends[keep]]).ravel()
+    # a trailing sentinel keeps the last bound a valid index when a window
+    # runs to the final sample
+    peaks = np.maximum.reduceat(np.append(amp, 0.0), bounds)[::2]
+    return lo[keep] + 0.5 * period, peaks
 
 
 class GrowthReport(NamedTuple):
@@ -259,17 +278,7 @@ def growth_classification(traj, rotation_period):
         )
     d = traj.states.shape[1] // 2
     amp = np.linalg.norm(np.real(traj.states[:, :d]), axis=1)
-    centers = []
-    peaks = []
-    for k in range(n_win):
-        lo = t[0] + k * period
-        sel = (t >= lo) & (t < lo + period)
-        if not sel.any():
-            continue
-        centers.append(lo + 0.5 * period)
-        peaks.append(float(amp[sel].max()))
-    centers = np.array(centers)
-    peaks = np.array(peaks)
+    centers, peaks = _window_peaks(t, amp, period, n_win)
 
     if peaks.max() <= 1e-300:
         return GrowthReport("Bounded", 0.0, 0.0, np.inf, 0.0, 0.0, np.inf, len(peaks))

@@ -184,19 +184,21 @@ class InvarianceResiduals(NamedTuple):
         return max(self)
 
 
-def invariance_residuals(inv, cfg):
-    """How far a triple is from solving the defining equations."""
-    t, w, u = inv.t_mat, inv.w_mat, inv.u_mat
+def _defining_equations(t, u, w, cfg):
+    """The three defining equations' left-hand sides at the triple (T, U, W)."""
     v = cfg.v
     wm = cfg.omega_matrix
-    e1 = wm @ t - t @ wm + w + w.T
-    e2 = wm @ u - u @ wm - w @ v - v @ w.T
-    e3 = wm @ w - w @ wm + u - v @ t
-    return InvarianceResiduals(
-        float(np.max(np.abs(e1))),
-        float(np.max(np.abs(e2))),
-        float(np.max(np.abs(e3))),
+    return (
+        wm @ t - t @ wm + w + w.T,
+        wm @ u - u @ wm - w @ v - v @ w.T,
+        wm @ w - w @ wm + u - v @ t,
     )
+
+
+def invariance_residuals(inv, cfg):
+    """How far a triple is from solving the defining equations."""
+    eqs = _defining_equations(inv.t_mat, inv.u_mat, inv.w_mat, cfg)
+    return InvarianceResiduals(*(float(np.max(np.abs(e))) for e in eqs))
 
 
 def evaluate_invariant(inv, x):
@@ -291,31 +293,13 @@ def invariance_nullspace(cfg, rel_threshold=1e-10):
     largest. For generic 3D configs the dimension is exactly 3,
     independent of any closed-form expression.
     """
-    v = cfg.v
-    wm = cfg.omega_matrix
-    d = v.shape[0]
+    d = cfg.v.shape[0]
     n = d * d
-
-    def eqs(t, u, w):
-        e1 = wm @ t - t @ wm + w + w.T
-        e2 = wm @ u - u @ wm - w @ v - v @ w.T
-        e3 = wm @ w - w @ wm + u - v @ t
-        return np.concatenate([e1.ravel(), e2.ravel(), e3.ravel()])
-
-    z = np.zeros((d, d))
+    # column k is the equations at the k-th unit triple, in _vec_triple order
     cols = []
-    for k in range(n):
-        e = np.zeros((d, d))
-        e[k // d, k % d] = 1.0
-        cols.append(eqs(e, z, z))
-    for k in range(n):
-        e = np.zeros((d, d))
-        e[k // d, k % d] = 1.0
-        cols.append(eqs(z, e, z))
-    for k in range(n):
-        e = np.zeros((d, d))
-        e[k // d, k % d] = 1.0
-        cols.append(eqs(z, z, e))
+    for unit in np.eye(3 * n):
+        eqs = _defining_equations(*_unvec_triple(unit, d), cfg)
+        cols.append(np.concatenate([e.ravel() for e in eqs]))
     a_evol = np.array(cols).T
     sym = np.zeros((2 * n, 3 * n))
     for k in range(n):

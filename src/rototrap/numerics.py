@@ -16,6 +16,7 @@ from .errors import (
     NearSingular,
     NonFiniteState,
     NotSymmetric,
+    StepTooLarge,
 )
 
 __all__ = [
@@ -155,6 +156,16 @@ def rk4_integrate(rhs, y0, t_end, dt, t0=0.0):
         times.append(t)
         states.append(y.copy())
     return Trajectory(times, states)
+
+
+def _check_step_bound(dt, m):
+    """StepTooLarge when dt ||M||_1 > 0.1, the bound of every fixed-step run on M.
+
+    The bound holds long before RK4 becomes inaccurate on M.
+    """
+    norm = np.linalg.norm(m, 1)
+    if dt * norm > 0.1:
+        raise StepTooLarge(f"dt = {dt:.3g} too large for ||M||_1 = {norm:.3g}")
 
 
 def _step_runs(dt, t_end):

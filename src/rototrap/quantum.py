@@ -37,11 +37,11 @@ from .errors import (
     NotSymmetric,
     SingularD,
     SingularModeMatrix,
-    StepTooLarge,
     UnstableConfig,
 )
 from .modes import eigenmodes, select_positive_signature_modes
 from .numerics import (
+    _check_step_bound,
     _csv_text,
     _finite_trajectory,
     _step_runs,
@@ -221,12 +221,7 @@ def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
     k0 = _k_array(k0)
     d = k0.shape[0]
     m = cfg.dynamics_matrix
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt * np.linalg.norm(m, 1) > 0.1:
-        raise StepTooLarge(
-            f"dt = {dt:.3g} too large for ||M||_1 = {np.linalg.norm(m, 1):.3g}"
-        )
+    _check_step_bound(dt, m)
     if method == "direct":
         traj = _direct_flow(k0, cfg, t_end, dt)
         return RiccatiTrajectory(traj.times, traj.states, method)

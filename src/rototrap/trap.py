@@ -16,6 +16,7 @@ and, after lambda = i omega, reads P(omega) = omega^6 + A omega^4
 + B omega^2 + C with rotationally invariant coefficients A, B, C.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -30,9 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "TrapPotential",
-    "RotationSpec",
-    "TrapConfig",
     "ValidatedConfig",
     "CharPolyCoeffs",
     "TrapInvariants",
@@ -59,17 +57,26 @@ def cross_matrix(w):
 
 # -- validation helpers ------------------------------------------------------
 # Each returns (exception class, message) pairs so the same checks feed both
-# the raise-on-first paths below and the collect-everything config_errors().
+# the raise-on-first ValidatedConfig constructor and the collect-everything
+# config_errors(). A field that is not numeric at all is an InvalidConfig.
+
+def _as_floats(x):
+    """x as a float array, or None when it does not convert."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
 
 def _potential_issues(v):
-    issues = []
-    v = np.asarray(v, dtype=float)
+    v = _as_floats(v)
+    if v is None:
+        return [(InvalidConfig, "potential matrix must hold numbers")]
     if v.shape != (3, 3):
-        issues.append((InvalidConfig, f"potential matrix must be 3x3, got {v.shape}"))
-        return issues
+        return [(InvalidConfig, f"potential matrix must be 3x3, got {v.shape}")]
     if not np.all(np.isfinite(v)):
-        issues.append((InvalidConfig, "potential matrix has non-finite entries"))
-        return issues
+        return [(InvalidConfig, "potential matrix has non-finite entries")]
+    issues = []
     asym = float(np.max(np.abs(v - v.T)))
     if asym > 1e-14:
         issues.append(
@@ -83,28 +90,42 @@ def _potential_issues(v):
     return issues
 
 
-def _rotation_issues(axis, omega):
-    issues = []
-    axis = np.asarray(axis, dtype=float)
+def _axis_issues(axis):
+    axis = _as_floats(axis)
+    if axis is None:
+        return [(InvalidConfig, "axis must hold numbers")]
     if axis.shape != (3,):
-        issues.append((InvalidConfig, f"axis must be a 3-vector, got shape {axis.shape}"))
-        return issues
+        return [(InvalidConfig, f"axis must be a 3-vector, got shape {axis.shape}")]
     if not np.all(np.isfinite(axis)):
-        issues.append((InvalidConfig, "axis has non-finite entries"))
-        return issues
+        return [(InvalidConfig, "axis has non-finite entries")]
     nrm = float(np.linalg.norm(axis))
     if nrm < 1e-8:
-        issues.append((ZeroAxis, "rotation axis has (near) zero length"))
-    elif abs(nrm - 1.0) > 1e-6:
-        issues.append(
-            (InvalidConfig, f"axis norm {nrm:.9g} differs from 1 by more than 1e-6")
-        )
-    omega = float(omega)
-    if not np.isfinite(omega):
-        issues.append((InvalidConfig, "omega must be finite"))
-    elif omega < 0.0:
-        issues.append((NegativeOmega, f"omega must be >= 0, got {omega}"))
-    return issues
+        return [(ZeroAxis, "rotation axis has (near) zero length")]
+    if abs(nrm - 1.0) > 1e-6:
+        return [(InvalidConfig, f"axis norm {nrm:.9g} differs from 1 by more than 1e-6")]
+    return []
+
+
+def _omega_issues(omega):
+    try:
+        omega = float(omega)
+    except (TypeError, ValueError):
+        return [(InvalidConfig, f"omega must be a number, got {omega!r}")]
+    if not math.isfinite(omega):
+        return [(InvalidConfig, "omega must be finite")]
+    if omega < 0.0:
+        return [(NegativeOmega, f"omega must be >= 0, got {omega}")]
+    return []
+
+
+def _unit_issues(omega_unit):
+    try:
+        omega_unit = float(omega_unit)
+    except (TypeError, ValueError):
+        return [(InvalidConfig, "omega_unit must be a number")]
+    if not (math.isfinite(omega_unit) and omega_unit > 0):
+        return [(InvalidConfig, f"omega_unit must be positive, got {omega_unit}")]
+    return []
 
 
 def _raise_first(issues):
@@ -115,61 +136,16 @@ def _raise_first(issues):
         raise cls(msg)
 
 
-class TrapPotential:
-    """Symmetric positive-definite 3x3 matrix of squared trap frequencies."""
-
-    def __init__(self, v):
-        v = np.asarray(v, dtype=float)
-        _raise_first(_potential_issues(v))
-        self.v = 0.5 * (v + v.T)
-        self.v.setflags(write=False)
-
-    @classmethod
-    def from_principal(cls, vx, vy, vz):
-        """Diagonal potential from its principal values."""
-        return cls(np.diag([float(vx), float(vy), float(vz)]))
-
-    def __repr__(self):
-        return f"TrapPotential({self.v.tolist()})"
-
-
-class RotationSpec:
-    """Rotation rate omega >= 0 about a unit axis.
-
-    The axis is renormalized when its length is within 1e-6 of one and
-    rejected otherwise; a (near) zero axis is a ZeroAxis error even at
-    omega = 0, so a config always has a well-defined rotation plane.
-    """
-
-    def __init__(self, omega, axis):
-        axis = np.asarray(axis, dtype=float)
-        _raise_first(_rotation_issues(axis, omega))
-        self.omega = float(omega)
-        self.axis = axis / np.linalg.norm(axis)
-        self.axis.setflags(write=False)
-
-    def __repr__(self):
-        return f"RotationSpec(omega={self.omega}, axis={self.axis.tolist()})"
-
-
-class TrapConfig:
-    """A full scenario: potential, rotation, and the frequency unit."""
-
-    def __init__(self, potential, rotation, omega_unit=1.0):
-        if not isinstance(potential, TrapPotential):
-            potential = TrapPotential(potential)
-        if not isinstance(rotation, RotationSpec):
-            raise TypeError("rotation must be a RotationSpec")
-        omega_unit = float(omega_unit)
-        if not (np.isfinite(omega_unit) and omega_unit > 0):
-            raise InvalidConfig(f"omega_unit must be positive, got {omega_unit}")
-        self.potential = potential
-        self.rotation = rotation
-        self.omega_unit = omega_unit
-
-
 class ValidatedConfig:
-    """Validated scenario with the derived matrices cached.
+    """One validated scenario, with the derived matrices cached.
+
+    The constructor checks every field and raises the first problem:
+    ``v`` must be a symmetric positive-definite 3x3 matrix, ``axis`` a
+    3-vector whose length is within 1e-6 of one (it is renormalized; a
+    (near) zero axis is a ZeroAxis error even at omega = 0, so a config
+    always has a well-defined rotation plane), ``omega`` a finite rate
+    >= 0 and ``omega_unit`` a positive reporting scale. ``v`` and ``axis``
+    are read-only.
 
     Exposes the duck interface shared with the planar/line reductions:
     ``v``, ``omega``, ``omega_matrix``, ``dynamics_matrix``, ``dim``.
@@ -177,14 +153,19 @@ class ValidatedConfig:
 
     dim = 3
 
-    def __init__(self, config):
-        if not isinstance(config, TrapConfig):
-            raise TypeError("ValidatedConfig wraps a TrapConfig")
-        self.config = config
-        self.v = config.potential.v
-        self.axis = config.rotation.axis
-        self.omega = config.rotation.omega
-        self.omega_unit = config.omega_unit
+    def __init__(self, v, axis, omega, omega_unit=1.0):
+        _raise_first(
+            _potential_issues(v) + _axis_issues(axis)
+            + _omega_issues(omega) + _unit_issues(omega_unit)
+        )
+        v = np.asarray(v, dtype=float)
+        axis = np.asarray(axis, dtype=float)
+        self.v = 0.5 * (v + v.T)
+        self.v.setflags(write=False)
+        self.axis = axis / np.linalg.norm(axis)
+        self.axis.setflags(write=False)
+        self.omega = float(omega)
+        self.omega_unit = float(omega_unit)
         self._w = None
         self._m = None
         self._inv = None
@@ -214,15 +195,16 @@ class ValidatedConfig:
         return self._inv
 
     def with_omega(self, omega):
-        """Same potential and axis, hence the same invariants, at a new rate."""
-        other = ValidatedConfig(
-            TrapConfig(
-                self.config.potential,
-                RotationSpec(omega, self.axis),
-                self.omega_unit,
-            )
+        """The same scenario at another rate; only the rate is checked.
+
+        V, the axis, omega_unit and the invariants record are this config's
+        own objects, shared by reference; W and M are rebuilt on demand.
+        """
+        _raise_first(_omega_issues(omega))
+        other = object.__new__(type(self))
+        other.__dict__.update(
+            self.__dict__, omega=float(omega), _w=None, _m=None, _inv=self.invariants
         )
-        other._inv = self.invariants
         return other
 
     def __repr__(self):
@@ -238,12 +220,9 @@ def make_config(v, axis, omega, omega_unit=1.0):
     ``v`` is either a length-3 sequence of principal values or a full 3x3
     symmetric matrix.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        pot = TrapPotential.from_principal(*v)
-    else:
-        pot = TrapPotential(v)
-    return ValidatedConfig(TrapConfig(pot, RotationSpec(omega, axis), omega_unit))
+    if np.ndim(v) == 1:
+        v = np.diag(v)
+    return ValidatedConfig(v, axis, omega, omega_unit)
 
 
 class LinearTrap:
@@ -309,18 +288,18 @@ def _dict_structure_issues(d):
 
 def _dict_potential_matrix(pot):
     if "diag" in pot:
-        diag = np.asarray(pot["diag"], dtype=float)
-        if diag.shape != (3,):
-            raise InvalidConfig("'potential.diag' must be a length-3 array")
+        diag = _as_floats(pot["diag"])
+        if diag is None or diag.shape != (3,):
+            raise InvalidConfig("'potential.diag' must be a length-3 array of numbers")
         return np.diag(diag)
-    mat = np.asarray(pot["matrix"], dtype=float)
-    if mat.shape != (3, 3):
-        raise InvalidConfig("'potential.matrix' must be 3x3")
+    mat = _as_floats(pot["matrix"])
+    if mat is None or mat.shape != (3, 3):
+        raise InvalidConfig("'potential.matrix' must be a 3x3 array of numbers")
     return mat
 
 
 def config_from_dict(d):
-    """TrapConfig from a JSON-shaped dict.
+    """ValidatedConfig from a JSON-shaped dict.
 
     Schema: {"potential": {"diag": [Vx,Vy,Vz]} or {"matrix": [[..]]},
     "axis": [nx,ny,nz], "omega": rate, "omega_unit": scale (optional)}.
@@ -328,8 +307,7 @@ def config_from_dict(d):
     """
     _raise_first(_dict_structure_issues(d))
     v = _dict_potential_matrix(d["potential"])
-    rotation = RotationSpec(d["omega"], np.asarray(d["axis"], dtype=float))
-    return TrapConfig(TrapPotential(v), rotation, d.get("omega_unit", 1.0))
+    return ValidatedConfig(v, d["axis"], d["omega"], d.get("omega_unit", 1.0))
 
 
 def config_errors(d):
@@ -338,33 +316,28 @@ def config_errors(d):
     Returns [] when the document is valid. Unlike validate_config, which
     raises on the first problem, this collects all of them.
     """
-    issues = list(_dict_structure_issues(d))
+    issues = _dict_structure_issues(d)
     if not issues:
         try:
-            pot = _dict_potential_matrix(d["potential"])
+            issues += _potential_issues(_dict_potential_matrix(d["potential"]))
         except InvalidConfig as exc:
             issues.append((InvalidConfig, str(exc)))
-        else:
-            issues.extend(_potential_issues(pot))
-        issues.extend(_rotation_issues(np.asarray(d["axis"], dtype=float), d["omega"]))
-        unit = d.get("omega_unit", 1.0)
-        try:
-            unit = float(unit)
-        except (TypeError, ValueError):
-            issues.append((InvalidConfig, "omega_unit must be a number"))
-        else:
-            if not (np.isfinite(unit) and unit > 0):
-                issues.append((InvalidConfig, f"omega_unit must be positive, got {unit}"))
+        issues += (
+            _axis_issues(d["axis"]) + _omega_issues(d["omega"])
+            + _unit_issues(d.get("omega_unit", 1.0))
+        )
     return [f"{cls.__name__}: {msg}" for cls, msg in issues]
 
 
 def validate_config(cfg):
-    """Validate and wrap a TrapConfig or a JSON-shaped dict."""
+    """A ValidatedConfig as it is, or one built from a JSON-shaped dict."""
     if isinstance(cfg, ValidatedConfig):
         return cfg
     if isinstance(cfg, dict):
-        cfg = config_from_dict(cfg)
-    return ValidatedConfig(cfg)
+        return config_from_dict(cfg)
+    raise TypeError(
+        f"validate_config takes a ValidatedConfig or a dict, got {type(cfg).__name__}"
+    )
 
 
 # -- dynamics matrix and characteristic polynomial ---------------------------

@@ -12,9 +12,13 @@ import pytest
 import rototrap
 from rototrap import (
     GaussianState,
+    InvalidConfig,
+    NonPositivePotential,
     OmegaRange,
     ScanTable,
     classify_resonances,
+    config_errors,
+    config_from_dict,
     fmt17,
     stability_scan,
     stationary_K_from_modes,
@@ -466,20 +470,43 @@ def test_unparseable_config_file(capsys, tmp_path):
     assert "not valid JSON" in last_error_json(err)["message"]
 
 
-def test_schema_errors_are_listed(capsys, tmp_path):
-    doc = {
-        "potential": {"diag": [1.0, 2.0, -3.0]},
-        "axis": [0.0, 0.0, 0.0],
-        "omega": -1.0,
-        "omega_unit": 0.0,
-    }
+_GOOD_DOC = {"potential": {"diag": [1.0, 2.0, 3.0]}, "axis": [0.0, 0.0, 1.0], "omega": 0.5}
+
+
+@pytest.mark.parametrize(
+    "doc, n_errors, first",
+    [
+        (
+            {
+                "potential": {"diag": [1.0, 2.0, -3.0]},
+                "axis": [0.0, 0.0, 0.0],
+                "omega": -1.0,
+                "omega_unit": 0.0,
+            },
+            3,
+            NonPositivePotential,
+        ),
+        (dict(_GOOD_DOC, omega="abc"), 1, InvalidConfig),
+        (dict(_GOOD_DOC, omega=None), 1, InvalidConfig),
+        (dict(_GOOD_DOC, axis=["a", 0, 1]), 1, InvalidConfig),
+        (dict(_GOOD_DOC, potential={"diag": ["x", 2, 3]}), 1, InvalidConfig),
+        (dict(_GOOD_DOC, omega_unit="fast"), 1, InvalidConfig),
+    ],
+    ids=["several", "omega_text", "omega_null", "axis_text", "diag_text", "unit_text"],
+)
+def test_schema_errors_are_listed(capsys, tmp_path, doc, n_errors, first):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run_cli(capsys, "modes", str(path))
+    code, out, err = run_cli(capsys, "modes", str(path))
     assert code == 1
+    assert out == ""
     obj = last_error_json(err)
     assert obj["error"] == "InvalidConfig"
-    assert len(obj["errors"]) >= 3
+    assert len(obj["errors"]) >= n_errors
+    # the library reports the same problems without the CLI's pre-check
+    assert len(config_errors(doc)) == len(obj["errors"])
+    with pytest.raises(first):
+        config_from_dict(doc)
 
 
 def test_unknown_subcommand(capsys):

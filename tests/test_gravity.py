@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rototrap import gravity
 from rototrap import (
     DegenerateD,
     InsufficientSpan,
@@ -22,6 +23,7 @@ from rototrap import (
     resonant_frequencies,
     rk4_integrate,
     trajectory_to_csv,
+    trap_invariants,
 )
 
 from conftest import (
@@ -177,6 +179,7 @@ def test_degenerate_d_guard():
     # unreachable from a positive-definite potential; exercised with a
     # degenerate stand-in where Tr V equals n.V.n
     fake = SimpleNamespace(v=np.diag([0.0, 0.0, 3.0]), axis=np.array([0.0, 0.0, 1.0]))
+    fake.invariants = trap_invariants(fake)
     with pytest.raises(DegenerateD):
         resonant_frequencies(fake)
 
@@ -308,6 +311,47 @@ def test_growth_exponential_envelope():
     rep = growth_classification(traj, period)
     assert rep.label == "ExponentialGrowth"
     assert rep.r2_log > 0.99
+
+
+def _loop_window_peaks(t, amp, period, n_win):
+    # the per-window mask loop, kept as the oracle of the one-pass windows
+    centers, peaks = [], []
+    for k in range(n_win):
+        lo = t[0] + k * period
+        sel = (t >= lo) & (t < lo + period)
+        if sel.any():
+            centers.append(lo + 0.5 * period)
+            peaks.append(float(amp[sel].max()))
+    return np.array(centers), np.array(peaks)
+
+
+@pytest.mark.parametrize(
+    "times, period",
+    [
+        # edges t0 + k fall exactly on samples; 23.25 periods, not a whole number
+        (np.arange(0.0, 23.3, 0.25), 1.0),
+        # a gap of three periods leaves windows without samples
+        (np.concatenate([np.arange(0.0, 10.0, 0.125), np.arange(13.0, 31.1, 0.5)]), 1.0),
+        (np.sort(np.random.default_rng(7).uniform(0.5, 40.0, 3000)), 1.7),
+    ],
+    ids=["edges_on_samples", "empty_windows", "random_times"],
+)
+def test_growth_windows_match_the_per_window_loop(times, period):
+    rng = np.random.default_rng(11)
+    states = np.zeros((len(times), 6))
+    states[:, :3] = rng.standard_normal((len(times), 3)) * (1.0 + times[:, None])
+    # the last sample lies past the last whole window, which must not see it
+    states[-1, 0] = 1e3
+    amp = np.linalg.norm(states[:, :3], axis=1)
+    n_win = int(np.floor((times[-1] - times[0]) / period))
+    centers, peaks = gravity._window_peaks(times, amp, period, n_win)
+    ref_centers, ref_peaks = _loop_window_peaks(times, amp, period, n_win)
+    assert np.array_equal(centers, ref_centers)
+    assert np.array_equal(peaks, ref_peaks)
+
+    rep = growth_classification(Trajectory(times, states), period)
+    assert rep.n_windows == len(ref_peaks)
+    assert rep.slope == pytest.approx(np.polyfit(ref_centers, ref_peaks, 1)[0], rel=1e-10)
 
 
 def test_growth_requires_span():

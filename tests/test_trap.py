@@ -1,9 +1,13 @@
 """Configuration handling, the dynamics matrix, and the characteristic polynomial."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import rototrap
 from rototrap import (
     CharPolyCoeffs,
     InvalidConfig,
@@ -213,13 +217,63 @@ def test_with_omega_preserves_potential_and_axis():
     cfg = fig1_config(1.0)
     other = cfg.with_omega(2.5)
     assert other.omega == 2.5
-    assert np.allclose(other.v, cfg.v)
-    assert np.allclose(other.axis, cfg.axis)
+    # V, the axis, the unit and the invariants record are the parent's own
+    assert other.v is cfg.v
+    assert other.axis is cfg.axis
+    assert other.invariants is cfg.invariants
+    assert other.omega_unit == cfg.omega_unit
+
+    # W and M are rebuilt at the new rate, and read-only
+    assert np.array_equal(other.omega_matrix, cross_matrix(2.5 * cfg.axis))
+    ref = make_config(cfg.v, cfg.axis, 2.5)
+    assert np.array_equal(other.dynamics_matrix, ref.dynamics_matrix)
+    for mat in (other.omega_matrix, other.dynamics_matrix):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+    assert cfg.omega == 1.0
+    assert np.array_equal(cfg.omega_matrix, cross_matrix(cfg.axis))
+
+    # a chain of rates keeps the axis bits
+    chained = cfg
+    for om in (0.3, 2.0, 0.0, 1e-7, 3.5):
+        chained = chained.with_omega(om)
+    assert chained.axis.tobytes() == cfg.axis.tobytes()
+
+
+@pytest.mark.parametrize(
+    "omega, error",
+    [
+        (-0.1, NegativeOmega),
+        (-np.inf, InvalidConfig),
+        (np.nan, InvalidConfig),
+        (np.inf, InvalidConfig),
+        ("abc", InvalidConfig),
+        (None, InvalidConfig),
+        ([1.0, 2.0], InvalidConfig),
+    ],
+)
+def test_with_omega_checks_the_rate(omega, error):
+    with pytest.raises(error):
+        fig1_config(1.0).with_omega(omega)
 
 
 def test_validate_config_idempotent():
     cfg = fig1_config(1.0)
     assert validate_config(cfg) is cfg
+    with pytest.raises(TypeError):
+        validate_config([V123.tolist(), [0.0, 0.0, 1.0], 0.5])
+
+
+def test_every_exported_name_resolves():
+    # no name stays in an __all__ after its definition is gone
+    modules = [rototrap] + [
+        importlib.import_module(f"rototrap.{info.name}")
+        for info in pkgutil.iter_modules(rototrap.__path__)
+        if info.name != "__main__"
+    ]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"
 
 
 # -- JSON-shaped configuration -----------------------------------------------
@@ -232,7 +286,7 @@ GOOD_DOC = {
 
 
 def test_config_from_dict_matches_make_config():
-    cfg = validate_config(config_from_dict(GOOD_DOC))
+    cfg = config_from_dict(GOOD_DOC)
     ref = make_config(V123, [0.0, 0.0, 1.0], 0.5)
     assert np.allclose(cfg.v, ref.v)
     assert np.allclose(cfg.axis, ref.axis)
