@@ -119,7 +119,6 @@ from .stability import (
     EXPONENTIAL,
     OSCILLATORY,
     STABLE,
-    ChiRoots,
     RegionLabel,
     RegionMap,
     ScanTable,

@@ -147,6 +147,11 @@ def _build_parser():
     return parser
 
 
+# built once per process: building the tree costs far more than a parse, and
+# parse_args leaves the parser as it found it
+_PARSER = _build_parser()
+
+
 def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -272,7 +277,7 @@ def _write_output(text, output):
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

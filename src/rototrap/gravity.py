@@ -173,8 +173,7 @@ def classify_resonances(cfg, rmap=None):
 
 def default_forced_dt(cfg):
     """dt = (2 pi / max(Omega, max mode frequency)) / 200."""
-    roots = solve_cubic(char_poly_coeffs(cfg))
-    om_max = max(float(np.sqrt(abs(r))) for r in roots)
+    om_max = float(np.sqrt(np.max(np.abs(solve_cubic(char_poly_coeffs(cfg))))))
     fastest = max(cfg.omega, om_max, 1e-6)
     return 2.0 * np.pi / fastest / 200.0
 

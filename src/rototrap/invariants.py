@@ -38,8 +38,6 @@ __all__ = [
     "completed_third_invariant",
 ]
 
-INVARIANT_LABELS = ("C1", "C2_2D", "C2_3D", "C3")
-
 
 class QuadraticInvariant:
     """Matrix triple (T, W, U) of a conserved quadratic form.

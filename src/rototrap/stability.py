@@ -22,7 +22,6 @@ __all__ = [
     "STABLE",
     "EXPONENTIAL",
     "OSCILLATORY",
-    "ChiRoots",
     "StabilityClass",
     "WindowCoeffs",
     "RegionLabel",
@@ -46,30 +45,6 @@ EXPONENTIAL = "ExponentialInstability"
 OSCILLATORY = "OscillatoryInstability"
 
 REGION_ORDER = ("S1", "I1", "S2", "I2", "S3")
-
-
-class ChiRoots:
-    """The three roots of Q(chi), sorted by (real part, imaginary part)."""
-
-    def __init__(self, roots):
-        roots = np.asarray(roots, dtype=complex)
-        if roots.shape != (3,):
-            raise ValueError("ChiRoots holds exactly three values")
-        order = np.lexsort((roots.imag, roots.real))
-        self.roots = roots[order]
-        self.roots.setflags(write=False)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __getitem__(self, i):
-        return self.roots[i]
-
-    def __len__(self):
-        return 3
-
-    def __repr__(self):
-        return f"ChiRoots({self.roots.tolist()})"
 
 
 class StabilityClass(NamedTuple):
@@ -104,12 +79,13 @@ class RegionLabel(NamedTuple):
 
 
 def solve_cubic(coeffs):
-    """Roots of chi^3 + A chi^2 + B chi + C.
+    """Roots of chi^3 + A chi^2 + B chi + C, as a read-only (3,) complex array.
 
     Companion-matrix eigenvalues followed by one guarded Newton step per
     root: the companion route is robust near double roots where the closed
     formulas cancel catastrophically, and the polish restores the last
-    digits. Conjugate closure of the output is enforced exactly.
+    digits. Conjugate closure of the output is enforced exactly. The roots
+    are sorted by (real part, imaginary part).
     """
     a, b, c = float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
 
@@ -136,7 +112,10 @@ def solve_cubic(coeffs):
     for r in cplx:
         z = polish(r)
         out += [z, z.conjugate()]
-    return ChiRoots(out)
+    out = np.array(out)
+    out = out[np.lexsort((out.imag, out.real))]
+    out.setflags(write=False)
+    return out
 
 
 def default_classify_tol(coeffs):
@@ -356,7 +335,9 @@ def region_of(cfg, omega):
     return region_map(cfg).locate(omega)
 
 
-_PERMS = [np.array(p) for p in permutations(range(3))]
+# every branch order, in permutations() order so that argmin breaks a tie
+# toward the first order, as min() over the same sequence did
+_PERMS = np.array(list(permutations(range(3))))
 
 
 class ScanTable:
@@ -419,7 +400,7 @@ def stability_scan(cfg, omega_grid):
     regions = []
     for i, om in enumerate(grid):
         coeffs = char_poly_coeffs(cfg.with_omega(om))
-        roots = np.array(list(solve_cubic(coeffs)))
+        roots = solve_cubic(coeffs)
         try:
             label = classify_chi_roots(roots, default_classify_tol(coeffs)).label
         except AmbiguousClassification as amb:
@@ -428,8 +409,8 @@ def stability_scan(cfg, omega_grid):
             chis[0] = roots
         else:
             pred = chis[i - 1] if i == 1 else 2.0 * chis[i - 1] - chis[i - 2]
-            best = min(_PERMS, key=lambda p: np.sum(np.abs(roots[p] - pred) ** 2))
-            chis[i] = roots[best]
+            cand = roots[_PERMS]
+            chis[i] = cand[np.argmin(np.sum(np.abs(cand - pred) ** 2, axis=1))]
         classes.append(label)
         regions.append(str(rmap.locate(om)))
 

@@ -59,11 +59,28 @@ def cross_matrix(w):
 # Each returns (exception class, message) pairs so the same checks feed both
 # the raise-on-first ValidatedConfig constructor and the collect-everything
 # config_errors(). A field that is not numeric at all is an InvalidConfig.
+# Text and booleans are not numbers even though float() takes them.
+
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
 
 def _as_floats(x):
-    """x as a float array, or None when it does not convert."""
+    """x as a float array, or None when it does not hold numbers only."""
     try:
-        return np.asarray(x, dtype=float)
+        entries = np.asarray(x, dtype=object)
+        if any(isinstance(e, _NOT_NUMBERS) for e in entries.flat):
+            return None
+        return entries.astype(float)
+    except (TypeError, ValueError):
+        return None
+
+
+def _as_float(x):
+    """x as a float, or None when it is not a number."""
+    if isinstance(x, _NOT_NUMBERS):
+        return None
+    try:
+        return float(x)
     except (TypeError, ValueError):
         return None
 
@@ -107,21 +124,19 @@ def _axis_issues(axis):
 
 
 def _omega_issues(omega):
-    try:
-        omega = float(omega)
-    except (TypeError, ValueError):
+    value = _as_float(omega)
+    if value is None:
         return [(InvalidConfig, f"omega must be a number, got {omega!r}")]
-    if not math.isfinite(omega):
+    if not math.isfinite(value):
         return [(InvalidConfig, "omega must be finite")]
-    if omega < 0.0:
-        return [(NegativeOmega, f"omega must be >= 0, got {omega}")]
+    if value < 0.0:
+        return [(NegativeOmega, f"omega must be >= 0, got {value}")]
     return []
 
 
 def _unit_issues(omega_unit):
-    try:
-        omega_unit = float(omega_unit)
-    except (TypeError, ValueError):
+    omega_unit = _as_float(omega_unit)
+    if omega_unit is None:
         return [(InvalidConfig, "omega_unit must be a number")]
     if not (math.isfinite(omega_unit) and omega_unit > 0):
         return [(InvalidConfig, f"omega_unit must be positive, got {omega_unit}")]

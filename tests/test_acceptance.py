@@ -286,7 +286,7 @@ def test_criterion_10_constants_of_motion():
     assert worst_planar < 1e-10
 
     cfg = fig2_config(0.5)
-    roots = np.asarray(solve_cubic(char_poly_coeffs(cfg)), dtype=complex)
+    roots = solve_cubic(char_poly_coeffs(cfg))
     omegas = np.sqrt(roots.real)
     t_fast = 2.0 * np.pi / np.max(omegas)
     t_slow = 2.0 * np.pi / np.min(omegas)

@@ -23,6 +23,7 @@ from rototrap import (
     stability_scan,
     stationary_K_from_modes,
 )
+from rototrap import cli
 from rototrap.cli import FIXTURES, emit_plot_data, fixture_path, main
 
 from conftest import fig2_config, fig5_config
@@ -491,8 +492,25 @@ _GOOD_DOC = {"potential": {"diag": [1.0, 2.0, 3.0]}, "axis": [0.0, 0.0, 1.0], "o
         (dict(_GOOD_DOC, axis=["a", 0, 1]), 1, InvalidConfig),
         (dict(_GOOD_DOC, potential={"diag": ["x", 2, 3]}), 1, InvalidConfig),
         (dict(_GOOD_DOC, omega_unit="fast"), 1, InvalidConfig),
+        (
+            {"potential": {"diag": ["1", "2", "3"]}, "axis": ["0", "0", "1"], "omega": "0.5"},
+            3,
+            InvalidConfig,
+        ),
+        (dict(_GOOD_DOC, omega=True), 1, InvalidConfig),
+        (dict(_GOOD_DOC, potential={"diag": [1.0, True, 3.0]}), 1, InvalidConfig),
+        (
+            dict(_GOOD_DOC, potential={"matrix": [[1, 0, 0], [0, "2", 0], [0, 0, 3]]}),
+            1,
+            InvalidConfig,
+        ),
+        (dict(_GOOD_DOC, axis=[False, False, True]), 1, InvalidConfig),
+        (dict(_GOOD_DOC, omega_unit=True), 1, InvalidConfig),
     ],
-    ids=["several", "omega_text", "omega_null", "axis_text", "diag_text", "unit_text"],
+    ids=[
+        "several", "omega_text", "omega_null", "axis_text", "diag_text", "unit_text",
+        "numeric_text", "omega_bool", "diag_bool", "matrix_text", "axis_bool", "unit_bool",
+    ],
 )
 def test_schema_errors_are_listed(capsys, tmp_path, doc, n_errors, first):
     path = tmp_path / "bad.json"
@@ -522,19 +540,51 @@ def test_unknown_fixture_name_is_treated_as_path(capsys):
     assert last_error_json(err)["error"] == "InvalidConfig"
 
 
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    _, expected, _ = run_cli(capsys, "boundaries", "fig1")
+
+    def fail():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", fail)
+    code, out, _ = run_cli(capsys, "boundaries", "fig1")
+    assert code == 0
+    assert out == expected
+
+
 # -- console script ----------------------------------------------------------
 
-def test_python_m_rototrap_matches_in_process_main(capsys):
+def _fresh_run(*argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(rototrap.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "rototrap", "boundaries", "fig1"],
+    return subprocess.run(
+        [sys.executable, "-m", "rototrap", *argv],
         capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+def test_python_m_rototrap_matches_in_process_main(capsys):
+    proc = _fresh_run("boundaries", "fig1")
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run_cli(capsys, "boundaries", "fig1")
     assert code == 0
     assert proc.stdout == out
+
+
+def test_calls_in_one_process_match_fresh_runs(capsys):
+    # the parser is shared by every call, a failed parse included
+    calls = [
+        ["scan", "fig1"],
+        ["verify", "fig1"],
+        ["scan", "fig5", "--omega-max", "2", "--parabola"],
+    ]
+    codes = []
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        proc = _fresh_run(*argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        codes.append(code)
+    assert codes == [1, 0, 0]
 
 
 def test_console_script_entry_point():

@@ -21,9 +21,11 @@ from rototrap import (
     make_config,
     planar_trap,
     quadratic_form,
+    region_map,
     solve_cubic,
     char_poly_coeffs,
     trajectory_drift,
+    verify_config,
 )
 from rototrap.numerics import Trajectory, rk4_integrate
 
@@ -261,6 +263,44 @@ def test_amplitude_energies_unstable_raises():
     ms = eigenmodes(cfg.dynamics_matrix)
     with pytest.raises(UnstableConfig):
         amplitude_energies(ms, np.ones(6))
+
+
+def _energy_check(cfg):
+    return next(c for c in verify_config(cfg).checks if c.name == "amplitude_energy_sum")
+
+
+def _fig1_past_window(rel):
+    cfg = fig1_config(1.0)
+    return cfg.with_omega(region_map(cfg).oscillatory[1] * (1.0 + rel))
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-7])
+def test_verify_energy_sum_just_past_oscillatory_window(rel):
+    # two colliding modes carry large energies of opposite sign; their sum
+    # cancels down to H, so roundoff scales with the terms, not with H
+    cfg = _fig1_past_window(rel)
+    dec = amplitude_energies(eigenmodes(cfg.dynamics_matrix), [1.0, 0.5, -0.3, 0.2, 1.1, -0.7])
+    assert sum(abs(e) for e in dec.energies) > 500.0
+    check = _energy_check(cfg)
+    assert check.ok, check.detail
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("damage", ["drop", "flip"])
+def test_verify_energy_sum_catches_a_wrong_split(monkeypatch, damage, k):
+    real = amplitude_energies
+
+    def broken(modes, x):
+        dec = real(modes, x)
+        e = list(dec.energies)
+        if damage == "drop":
+            del e[k]
+        else:
+            e[k] = -e[k]  # omega_k with the wrong sign
+        return dec._replace(energies=tuple(e))
+
+    monkeypatch.setattr("rototrap.verify.amplitude_energies", broken)
+    assert not _energy_check(_fig1_past_window(1e-6)).ok
 
 
 # -- blind null-space solution -----------------------------------------------

@@ -65,7 +65,7 @@ def test_omega_squared_matches_chi_roots(rng):
     for _ in range(20):
         cfg = random_config(rng)
         coeffs = char_poly_coeffs(cfg)
-        chi = np.array(list(solve_cubic(coeffs)))
+        chi = solve_cubic(coeffs)
         try:
             ms = eigenmodes(cfg.dynamics_matrix)
         except DefectiveMatrix:

@@ -1,5 +1,7 @@
 """Cubic roots, stability classification, region windows, and grid scans."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_solve_cubic_z_axis_fast_rotation():
 def test_solve_cubic_vieta_property(rng):
     for _ in range(50):
         a, b, c = rng.uniform(-5.0, 5.0, size=3)
-        roots = np.array(list(solve_cubic((a, b, c))))
+        roots = solve_cubic((a, b, c))
         scale = max(1.0, abs(a), abs(b), abs(c))
         assert abs(np.sum(roots) + a) < 1e-8 * scale
         assert abs(np.prod(roots) + c) < 1e-8 * scale
@@ -69,6 +71,25 @@ def test_solve_cubic_residual_small(rng):
         for r in solve_cubic((a, b, c)):
             res = r ** 3 + a * r ** 2 + b * r + c
             assert abs(res) < 1e-8 * max(1.0, abs(r) ** 3)
+
+
+def test_solve_cubic_returns_sorted_read_only_array(rng):
+    window = char_poly_coeffs(fig1_config(3.0))  # inside fig1's oscillatory window
+    draws = [(-6.0, 11.0, -6.0), (-2.0, 1.0, 0.0), tuple(window)]
+    draws += [tuple(rng.uniform(-5.0, 5.0, size=3)) for _ in range(200)]
+    n_pairs = 0
+    for coeffs in draws:
+        roots = solve_cubic(coeffs)
+        assert type(roots) is np.ndarray
+        assert roots.shape == (3,) and roots.dtype == np.complex128
+        assert not roots.flags.writeable
+        with pytest.raises(ValueError):
+            roots[0] = 0.0
+        # sorted by (real, imag), and every complex root has its exact conjugate
+        assert np.array_equal(roots, np.sort_complex(roots))
+        assert np.array_equal(roots, np.sort_complex(roots.conj()))
+        n_pairs += bool(np.any(roots.imag != 0.0))
+    assert n_pairs > 10
 
 
 # -- classification ----------------------------------------------------------
@@ -218,6 +239,34 @@ def test_region_map_without_oscillatory_window():
     assert np.isinf(rmap.labels()[-1].hi)
 
 
+def _match_by_min(roots, pred):
+    # the branch match as a min() over permutation arrays: the scan's oracle
+    perms = [np.array(p) for p in permutations(range(3))]
+    return roots[min(perms, key=lambda p: np.sum(np.abs(roots[p] - pred) ** 2))]
+
+
+def test_scan_branch_match_equals_min_over_permutations(rng, monkeypatch):
+    n = 150
+    sequences = [
+        rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
+        np.cumsum(0.05 * rng.standard_normal((n, 3)), axis=0) + np.array([1.0, 2.0, 3.0]),
+        # small integers: many candidate orders cost exactly the same
+        rng.integers(-2, 3, size=(n, 3)) + 1j * rng.integers(-1, 2, size=(n, 3)),
+    ]
+    cfg = fig1_config(1.0)
+    grid = np.linspace(0.0, 4.0, n)
+    for seq in sequences:
+        seq = seq.astype(complex)
+        feed = iter(seq)
+        monkeypatch.setattr("rototrap.stability.solve_cubic", lambda coeffs: next(feed))
+        chis = stability_scan(cfg, grid).chis
+        expect = [seq[0]]
+        for i in range(1, n):
+            pred = expect[-1] if i == 1 else 2.0 * expect[-1] - expect[-2]
+            expect.append(_match_by_min(seq[i], pred))
+        assert np.array_equal(chis, np.array(expect))
+
+
 def test_region_root_patterns(rng):
     # S regions carry three positive real chi, I1 one negative, I2 a complex pair
     cfg = fig3_config(0.5)
@@ -231,7 +280,7 @@ def test_region_root_patterns(rng):
     for region, (n_pos, n_neg) in patterns.items():
         for om in sample_region_omegas(cfg, region, 3, rng):
             coeffs = char_poly_coeffs(cfg.with_omega(om))
-            roots = np.array(list(solve_cubic(coeffs)))
+            roots = solve_cubic(coeffs)
             tol = default_classify_tol(coeffs)
             real = roots[np.abs(roots.imag) < 1e-7]
             assert int(np.sum(real.real > tol)) == n_pos

@@ -208,6 +208,19 @@ def test_axis_renormalized_within_tolerance():
     assert np.linalg.norm(cfg.axis) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "v, axis",
+    [
+        (np.array([True, True, True]), [0.0, 0.0, 1.0]),
+        (V123, np.array([False, False, True])),
+    ],
+    ids=["diag_bool_array", "axis_bool_array"],
+)
+def test_rejects_text_and_booleans_as_numbers(v, axis):
+    with pytest.raises(InvalidConfig):
+        make_config(v, axis, 0.5)
+
+
 def test_rejects_negative_omega():
     with pytest.raises(NegativeOmega):
         make_config(V123, diagonal_axis(), -0.1)
@@ -250,6 +263,9 @@ def test_with_omega_preserves_potential_and_axis():
         ("abc", InvalidConfig),
         (None, InvalidConfig),
         ([1.0, 2.0], InvalidConfig),
+        ("0.5", InvalidConfig),
+        (True, InvalidConfig),
+        (np.bool_(True), InvalidConfig),
     ],
 )
 def test_with_omega_checks_the_rate(omega, error):
