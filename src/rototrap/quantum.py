@@ -139,41 +139,71 @@ def riccati_rhs(k, cfg):
 def _direct_flow(k0, cfg, t_end, dt):
     """Classical RK4 on the Riccati equation from K(0) = K0, with rk4_integrate's steps.
 
-    The fused form of rk4_integrate on riccati_rhs: K0 passes riccati_rhs's
-    symmetry check once, iV and W are bound once, and each stage takes one
-    stacked product [-iK; -W] @ K = [-iK^2; -WK]. W is antisymmetric, so
-    for symmetric K the commutator term is -[W, K] = -WK + KW =
-    -WK - (WK)^T. The state is symmetrized once per step. Times and the
-    NonFiniteState prefix are rk4_integrate's; the states differ from it by
-    rounding only.
+    K is symmetric, so the state is its six independent entries
+    K = [[a, b, c], [b, d, e], [c, e, f]], held as Python complex scalars.
+    W is antisymmetric, so for symmetric K the commutator term is
+    -[W, K] = -WK - (WK)^T, and each stage evaluates
+    -iK^2 + iV - WK - (WK)^T on the upper triangle only: the state stays
+    symmetric by construction. A trap of dimension d < 3 is padded with
+    zeros to 3x3; the padded entries have a right side of exactly 0 and
+    stay 0. iV and W are bound once per run, K0 passes riccati_rhs's
+    symmetry check once, and each step is written into one (n + 1, 6)
+    buffer. Times and the NonFiniteState prefix are rk4_integrate's; the
+    states differ from it by rounding only.
     """
-    d = k0.shape[0]
-    iv = 1j * cfg.v
-    stack = np.empty((2 * d, d), dtype=complex)
-    stack[d:] = -cfg.omega_matrix
+    dim = k0.shape[0]
+    v = np.zeros((3, 3))
+    w = np.zeros((3, 3))
+    v[:dim, :dim] = cfg.v
+    w[:dim, :dim] = cfg.omega_matrix
+    v11, v12, v13, v22, v23, v33 = (1j * float(v[i, j]) for i, j in _triu_indices(3))
+    w12, w13, w23 = float(w[0, 1]), float(w[0, 2]), float(w[1, 2])
 
-    def rhs(k):
-        stack[:d] = -1j * k
-        prod = stack @ k
-        wk = prod[d:]
-        return prod[:d] + iv + wk + wk.T
+    def rhs(a, b, c, d, e, f):
+        return (
+            v11 - 1j * (a * a + b * b + c * c) - 2.0 * (w12 * b + w13 * c),
+            v12 - 1j * (a * b + b * d + c * e) + w12 * (a - d) - w13 * e - w23 * c,
+            v13 - 1j * (a * c + b * e + c * f) + w13 * (a - f) - w12 * e + w23 * b,
+            v22 - 1j * (b * b + d * d + e * e) + 2.0 * (w12 * b - w23 * e),
+            v23 - 1j * (b * c + d * e + e * f) + w12 * c + w13 * b + w23 * (d - f),
+            v33 - 1j * (c * c + e * e + f * f) + 2.0 * (w13 * c + w23 * e),
+        )
 
-    runs, _, times = _step_runs(dt, t_end)
-    ks = np.empty((len(times), d, d), dtype=complex)
-    # an overflowing run is reported by _finite_trajectory, not as warnings
+    # an overflowing K0 is reported by _finite_trajectory, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         riccati_rhs(k0, cfg)  # raises NotSymmetric for an asymmetric K0
-        y = ks[0] = k0
-        for lo, hi, h in runs:
-            half, sixth = 0.5 * h, h / 6.0
-            for i in range(lo + 1, hi + 1):
-                k1 = rhs(y)
-                k2 = rhs(y + half * k1)
-                k3 = rhs(y + half * k2)
-                k4 = rhs(y + h * k3)
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                y = ks[i] = 0.5 * (y + y.T)
-    return _finite_trajectory(times, ks)
+    runs, _, times = _step_runs(dt, t_end)
+    buf = np.empty((len(times), 6), dtype=complex)
+    k = np.zeros((3, 3), dtype=complex)
+    k[:dim, :dim] = k0
+    a, b, c, d, e, f = buf[0] = [complex(k[i, j]) for i, j in _triu_indices(3)]
+    for lo, hi, h in runs:
+        half, sixth = 0.5 * h, h / 6.0
+        for i in range(lo + 1, hi + 1):
+            pa, pb, pc, pd, pe, pf = rhs(a, b, c, d, e, f)
+            qa, qb, qc, qd, qe, qf = rhs(
+                a + half * pa, b + half * pb, c + half * pc,
+                d + half * pd, e + half * pe, f + half * pf,
+            )
+            ra, rb, rc, rd, re, rf = rhs(
+                a + half * qa, b + half * qb, c + half * qc,
+                d + half * qd, e + half * qe, f + half * qf,
+            )
+            sa, sb, sc, sd, se, sf = rhs(
+                a + h * ra, b + h * rb, c + h * rc,
+                d + h * rd, e + h * re, f + h * rf,
+            )
+            a, b, c, d, e, f = buf[i] = (
+                a + sixth * (pa + 2.0 * (qa + ra) + sa),
+                b + sixth * (pb + 2.0 * (qb + rb) + sb),
+                c + sixth * (pc + 2.0 * (qc + rc) + sc),
+                d + sixth * (pd + 2.0 * (qd + rd) + sd),
+                e + sixth * (pe + 2.0 * (qe + re) + se),
+                f + sixth * (pf + 2.0 * (qf + rf) + sf),
+            )
+    # buffer column of each K entry, the d x d block of the padded matrix
+    col = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])[:dim, :dim]
+    return _finite_trajectory(times, buf[:, col])
 
 
 # independent real components of symmetric K, upper triangle row-major
@@ -209,17 +239,22 @@ class RiccatiTrajectory:
 def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
     """Integrate the Riccati flow by one of two independent routes.
 
-    direct runs RK4 on the Riccati equation itself (_direct_flow, whose
-    test oracle is rk4_integrate on riccati_rhs); linearized runs RK4, as
-    the linear_flow one-step map, on the (D; N) column block from D(0) = I,
+    direct runs RK4 on the Riccati equation itself, as scalar arithmetic on
+    the six independent entries of K with a trap of dimension d < 3 padded
+    to 3x3 (_direct_flow; its test oracle is rk4_integrate on riccati_rhs,
+    which it matches to about 1e-15 relative); linearized runs RK4, as the
+    linear_flow one-step map, on the (D; N) column block from D(0) = I,
     N(0) = i K0 and reconstructs K = -i N D^{-1} at every step. The two
-    must agree within 1e-7 over a run, which is the standing cross-check on
-    both. Raises SingularD when D becomes ill-conditioned (a caustic of
-    the linearized flow) and StepTooLarge under the same step bound as
-    forced evolution.
+    share no stepping code and must agree within 1e-7 over a run, which is
+    the standing cross-check on both. Raises ValueError naming both shapes
+    when K0 is not (cfg.dim, cfg.dim), SingularD when D becomes
+    ill-conditioned (a caustic of the linearized flow) and StepTooLarge
+    under the same step bound as forced evolution.
     """
-    k0 = _k_array(k0)
-    d = k0.shape[0]
+    k0 = k0.k if isinstance(k0, GaussianState) else np.asarray(k0, dtype=complex)
+    d = cfg.dim
+    if k0.shape != (d, d):
+        raise ValueError(f"K0 has shape {k0.shape}, the config needs {(d, d)}")
     m = cfg.dynamics_matrix
     _check_step_bound(dt, m)
     if method == "direct":

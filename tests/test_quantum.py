@@ -239,6 +239,40 @@ def test_direct_matches_rk4_on_riccati_rhs_below_3d(trap, rng):
     _assert_direct_matches_oracle(k0, trap, 237, 0.4)
 
 
+def test_direct_pads_lower_dimensions_exactly():
+    # an axis-aligned 3-D trap with a block-diagonal K0 is the planar and
+    # the line trap side by side; the off-block entries stay exactly 0
+    vx, vy, vz, omega = 1.0, 2.5, 1.7, 0.6
+    cfg = make_config(np.diag([vx, vy, vz]), [0.0, 0.0, 1.0], omega)
+    rng = np.random.default_rng(7)
+    kxy, kz = _symmetric_k0(rng, 2), _symmetric_k0(rng, 1)
+    k0 = np.zeros((3, 3), dtype=complex)
+    k0[:2, :2], k0[2:, 2:] = kxy, kz
+    t_end, dt = 3.3, 1e-2
+    full = evolve_riccati(k0, cfg, t_end, dt, method="direct")
+    xy = evolve_riccati(kxy, planar_trap(vx, vy, omega), t_end, dt, method="direct")
+    z = evolve_riccati(kz, line_trap(vz), t_end, dt, method="direct")
+    assert np.array_equal(full.times, xy.times) and np.array_equal(full.times, z.times)
+    for block, part in ((full.ks[:, :2, :2], xy.ks), (full.ks[:, 2:, 2:], z.ks)):
+        assert np.max(np.abs(block - part)) <= 1e-14 * np.max(np.abs(part))
+    assert not full.ks[:, :2, 2].any() and not full.ks[:, 2, :2].any()
+
+
+@pytest.mark.parametrize("method", ["direct", "linearized"])
+@pytest.mark.parametrize(
+    "trap, k0",
+    [
+        (fig2_config(0.5), np.eye(2, dtype=complex)),
+        (planar_trap(1.0, 2.5, 0.6), np.eye(3, dtype=complex)),
+    ],
+    ids=["2x2_on_3d", "3x3_on_2d"],
+)
+def test_wrong_size_k0_names_both_shapes(trap, k0, method):
+    d = trap.dim
+    with pytest.raises(ValueError, match=rf"{k0.shape}.*\({d}, {d}\)"):
+        evolve_riccati(k0, trap, 1.0, 1e-2, method=method)
+
+
 def test_direct_rejects_asymmetric_k0():
     cfg = fig2_config(0.5)
     k0 = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)

@@ -134,6 +134,20 @@ def test_classify_z_axis_inside_window():
     assert np.prod(planar) == pytest.approx(-0.2139, abs=1e-4)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="companion eigenvalues split the exact double root chi = 1 into "
+    "1 +- 2.2e-8 i; the discriminant-sign rule of ROADMAP item 2 labels it",
+)
+def test_static_axisymmetric_double_root_is_stable():
+    cfg = make_config(np.diag([1.0, 1.0, 2.0]), [0.0, 0.0, 1.0], 0.0)
+    coeffs = char_poly_coeffs(cfg)
+    roots = solve_cubic(coeffs)
+    assert classify_chi_roots(roots, default_classify_tol(coeffs)).label == STABLE
+    table = stability_scan(cfg, OmegaRange(0.0, 1.0, 11))
+    assert (table.classes[0], table.regions[0]) == (STABLE, "S1")
+
+
 def test_default_classify_tol_scale():
     assert default_classify_tol((-6.0, 11.0, -6.0)) == pytest.approx(1.1e-8)
     assert default_classify_tol((0.1, 0.2, 0.3)) == pytest.approx(1e-9)
