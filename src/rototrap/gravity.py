@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateD, InsufficientSpan
 from .numerics import _check_step_bound, _csv_text, linear_flow
-from .stability import region_map, solve_cubic
+from .stability import _real_quadratic_roots, region_map, solve_cubic
 from .trap import char_poly_coeffs
 
 __all__ = [
@@ -60,21 +60,6 @@ def decompose_gravity(g, n):
     return DecomposedGravity(g_par, g - g_par, n)
 
 
-def _rotating_drive(dg, omega):
-    """g(t) as a function of t, with the constant n x g_perp bound once.
-
-    t is a scalar, giving a 3-vector, or a 1-D array, giving one row per time.
-    """
-    g_par, g_perp = dg.g_par, dg.g_perp
-    whirl = np.cross(dg.axis, g_perp)
-
-    def drive(t):
-        wt = omega * np.asarray(t, dtype=float)[..., None]
-        return g_par + g_perp * np.cos(wt) - whirl * np.sin(wt)
-
-    return drive
-
-
 def gravity_in_rotating_frame(dg, omega, t):
     """The corotating-frame acceleration at time t (a scalar or a 1-D array).
 
@@ -82,7 +67,8 @@ def gravity_in_rotating_frame(dg, omega, t):
     transverse part rotates rigidly, so |g(t)| and g(t).n are constants.
     An array of times gives an array of shape (len(t), 3).
     """
-    return _rotating_drive(dg, omega)(t)
+    wt = omega * np.asarray(t, dtype=float)[..., None]
+    return dg.g_par + dg.g_perp * np.cos(wt) - np.cross(dg.axis, dg.g_perp) * np.sin(wt)
 
 
 class ResonanceCoeffs(NamedTuple):
@@ -150,9 +136,7 @@ def resonant_frequencies(cfg, rmap=None):
     d, e, f = resonance_coefficients(cfg)
     if abs(d) < 1e-12:
         raise DegenerateD("trap is degenerate along the rotation axis (D ~ 0)")
-    disc = max(e * e - 4.0 * d * f, 0.0)
-    s = np.sqrt(disc)
-    roots = sorted([(-e - s) / (2.0 * d), (-e + s) / (2.0 * d)])
+    roots = _real_quadratic_roots(d, e, f)
     if rmap is None:
         rmap = region_map(cfg)
     labels = [
@@ -190,7 +174,7 @@ def forced_evolve(cfg, g, t_end, dt=None, x0=None):
         dt = default_forced_dt(cfg)
     m = cfg.dynamics_matrix
     _check_step_bound(dt, m)
-    drive = _rotating_drive(decompose_gravity(g, cfg.axis), cfg.omega)
+    dg = decompose_gravity(g, cfg.axis)
     if x0 is None:
         x0 = np.zeros(6)
     else:
@@ -202,7 +186,7 @@ def forced_evolve(cfg, g, t_end, dt=None, x0=None):
 
     def forcing(ts):
         f = np.zeros((len(ts), 6))
-        f[:, 3:] = drive(ts)
+        f[:, 3:] = gravity_in_rotating_frame(dg, cfg.omega, ts)
         return f
 
     return linear_flow(m, x0, t_end, dt, forcing=forcing)

@@ -119,14 +119,24 @@ def _k_array(k):
     return k
 
 
+def _k_for(k, cfg, name):
+    # K as a complex array of the config's (dim, dim) shape
+    k = k.k if isinstance(k, GaussianState) else np.asarray(k, dtype=complex)
+    d = cfg.dim
+    if k.shape != (d, d):
+        raise ValueError(f"{name} has shape {k.shape}, the config needs {(d, d)}")
+    return k
+
+
 def riccati_rhs(k, cfg):
     """dK/dt = -i K^2 + i V - [W, K], symmetrized output.
 
     For symmetric K the right side is symmetric identically (the
     commutator of antisymmetric with symmetric is symmetric); an asymmetry
-    beyond 1e-12 therefore flags a non-symmetric input.
+    beyond 1e-12 therefore flags a non-symmetric input. A K that is not
+    (cfg.dim, cfg.dim) is a ValueError naming both shapes.
     """
-    k = _k_array(k)
+    k = _k_for(k, cfg, "K")
     v = cfg.v
     w = cfg.omega_matrix
     out = -1j * (k @ k) + 1j * v - (w @ k - k @ w)
@@ -146,10 +156,10 @@ def _direct_flow(k0, cfg, t_end, dt):
     -iK^2 + iV - WK - (WK)^T on the upper triangle only: the state stays
     symmetric by construction. A trap of dimension d < 3 is padded with
     zeros to 3x3; the padded entries have a right side of exactly 0 and
-    stay 0. iV and W are bound once per run, K0 passes riccati_rhs's
-    symmetry check once, and each step is written into one (n + 1, 6)
-    buffer. Times and the NonFiniteState prefix are rk4_integrate's; the
-    states differ from it by rounding only.
+    stay 0. K0 arrives symmetric from evolve_riccati, iV and W are bound
+    once per run, and each step is written into one (n + 1, 6) buffer.
+    Times and the NonFiniteState prefix are rk4_integrate's; the states
+    differ from it by rounding only.
     """
     dim = k0.shape[0]
     v = np.zeros((3, 3))
@@ -169,9 +179,6 @@ def _direct_flow(k0, cfg, t_end, dt):
             v33 - 1j * (c * c + e * e + f * f) + 2.0 * (w13 * c + w23 * e),
         )
 
-    # an overflowing K0 is reported by _finite_trajectory, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        riccati_rhs(k0, cfg)  # raises NotSymmetric for an asymmetric K0
     runs, _, times = _step_runs(dt, t_end)
     buf = np.empty((len(times), 6), dtype=complex)
     k = np.zeros((3, 3), dtype=complex)
@@ -246,15 +253,17 @@ def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
     linear_flow one-step map, on the (D; N) column block from D(0) = I,
     N(0) = i K0 and reconstructs K = -i N D^{-1} at every step. The two
     share no stepping code and must agree within 1e-7 over a run, which is
-    the standing cross-check on both. Raises ValueError naming both shapes
-    when K0 is not (cfg.dim, cfg.dim), SingularD when D becomes
-    ill-conditioned (a caustic of the linearized flow) and StepTooLarge
-    under the same step bound as forced evolution.
+    the standing cross-check on both. Before either route runs, K0 passes
+    GaussianState's symmetry check (NotSymmetric beyond 1e-9 relative, then
+    exactly symmetrized). Raises ValueError naming both shapes when K0 is
+    not (cfg.dim, cfg.dim), SingularD when D becomes ill-conditioned (a
+    caustic of the linearized flow) and StepTooLarge under the same step
+    bound as forced evolution.
     """
-    k0 = k0.k if isinstance(k0, GaussianState) else np.asarray(k0, dtype=complex)
+    # a non-finite K0 is reported as NonFiniteState by the run, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0 = GaussianState(_k_for(k0, cfg, "K0")).k
     d = cfg.dim
-    if k0.shape != (d, d):
-        raise ValueError(f"K0 has shape {k0.shape}, the config needs {(d, d)}")
     m = cfg.dynamics_matrix
     _check_step_bound(dt, m)
     if method == "direct":

@@ -162,6 +162,16 @@ def classify_chi_roots(roots, tol):
     return StabilityClass(STABLE)
 
 
+def _real_quadratic_roots(a, b, c):
+    """Sorted roots of a x^2 + b x + c, a != 0, for x = Omega^2.
+
+    The one clamp of a discriminant at 0 against roundoff, for callers
+    whose roots are real in exact arithmetic.
+    """
+    s = np.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    return sorted([(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)])
+
+
 def window_coeffs(cfg):
     """a = n.V.n, b = TrV (n.V.n) - n.V^2.n, c = Det V; all positive."""
     inv = cfg.invariants
@@ -176,11 +186,8 @@ def exponential_window(cfg):
     edges are always real, collapsing to a point for an isotropic trap.
     """
     a, b, c = window_coeffs(cfg)
-    disc = max(b * b - 4.0 * a * c, 0.0)
-    s = np.sqrt(disc)
-    om_minus_sq = max((b - s) / (2.0 * a), 0.0)
-    om_plus_sq = (b + s) / (2.0 * a)
-    return float(np.sqrt(om_minus_sq)), float(np.sqrt(om_plus_sq))
+    om_minus_sq, om_plus_sq = _real_quadratic_roots(a, -b, c)
+    return float(np.sqrt(max(om_minus_sq, 0.0))), float(np.sqrt(om_plus_sq))
 
 
 def planar_discriminant(vx, vy, omega):
@@ -223,20 +230,20 @@ def _default_bracket(cfg, om_plus):
     return OmegaRange(0.0, stop, 2001)
 
 
-def oscillatory_window(cfg, bracket=None, tol=1e-10):
+def oscillatory_window(cfg):
     """Interval above Omega+ where Q has a complex pair, or None.
 
     Located from the sign of the cubic discriminant: a coarse scan over the
-    bracket finds the negative stretch, bisection then sharpens both edges
-    to ``tol``. The discriminant counts as negative only below a
-    term-scale-relative threshold, so double-root boundaries do not flicker.
-    Raises BracketTooSmall when the discriminant is still negative at the
+    trap's one bracket (2001 points up to Omega+ + 2 sqrt(TrV) + 1) finds
+    the negative stretch, bisection then sharpens both edges to 1e-10
+    relative; a window narrower than the bracket's step is missed. The
+    discriminant counts as negative only below a term-scale-relative
+    threshold, so double-root boundaries do not flicker. Raises
+    BracketTooSmall when the discriminant is still negative at the
     bracket end, since then the window is not closed.
     """
     _, om_plus = exponential_window(cfg)
-    if bracket is None:
-        bracket = _default_bracket(cfg, om_plus)
-    grid = bracket.values()
+    grid = _default_bracket(cfg, om_plus).values()
     grid = grid[grid > om_plus * (1.0 + 1e-12)]
     if len(grid) == 0:
         return None
@@ -259,7 +266,7 @@ def oscillatory_window(cfg, bracket=None, tol=1e-10):
 
     def bisect(lo, hi, want_neg_hi):
         # invariant: exactly one edge of [lo, hi] is inside the window
-        while hi - lo > tol * max(1.0, hi):
+        while hi - lo > 1e-10 * max(1.0, hi):
             mid = 0.5 * (lo + hi)
             if is_neg(mid) == want_neg_hi:
                 hi = mid
@@ -287,51 +294,49 @@ class RegionMap:
         self.oscillatory = (
             None if oscillatory is None else (float(oscillatory[0]), float(oscillatory[1]))
         )
+        cuts = [0.0, self.om_minus, self.om_plus, *(self.oscillatory or ()), np.inf]
+        self._labels = [
+            RegionLabel(name, lo, hi) for name, lo, hi in zip(REGION_ORDER, cuts, cuts[1:])
+        ]
+        # (edge, boundary label of the window it bounds), in check order
+        self._edges = [
+            (edge, lab._replace(boundary=True))
+            for lab in self._labels
+            if lab.label in ("I1", "I2")
+            for edge in (lab.lo, lab.hi)
+        ]
 
     def labels(self):
         """Ordered list of RegionLabel intervals covering [0, inf)."""
-        out = [
-            RegionLabel("S1", 0.0, self.om_minus),
-            RegionLabel("I1", self.om_minus, self.om_plus),
-        ]
-        if self.oscillatory is None:
-            out.append(RegionLabel("S2", self.om_plus, np.inf))
-        else:
-            a, b = self.oscillatory
-            out.append(RegionLabel("S2", self.om_plus, a))
-            out.append(RegionLabel("I2", a, b))
-            out.append(RegionLabel("S3", b, np.inf))
-        return out
+        return list(self._labels)
 
     def locate(self, omega):
         omega = float(omega)
         if omega < 0:
             raise ValueError("omega must be >= 0")
-        edges = [(self.om_minus, "I1"), (self.om_plus, "I1")]
-        if self.oscillatory is not None:
-            a, b = self.oscillatory
-            edges += [(a, "I2"), (b, "I2")]
-        for edge, side in edges:
+        for edge, lab in self._edges:
             if abs(omega - edge) <= 1e-9 * (1.0 + edge):
-                lab = next(l for l in self.labels() if l.label == side)
-                return RegionLabel(side, lab.lo, lab.hi, boundary=True)
-        for lab in self.labels():
+                return lab
+        for lab in self._labels:
             if lab.lo <= omega < lab.hi:
                 return lab
-        return self.labels()[-1]
+        return self._labels[-1]
 
 
-def region_map(cfg, bracket=None):
-    """Compute the region partition once, for repeated lookups."""
+def region_map(cfg):
+    """The trap's one region partition, computed once for repeated lookups.
+
+    boundaries, resonance, verify and stability_scan all read this map. It
+    depends on V and the axis alone, at a resolution fixed by
+    oscillatory_window's bracket and not by any scan grid, so a window
+    narrower than that bracket's step is missed alike everywhere.
+    """
     om_minus, om_plus = exponential_window(cfg)
-    osc = oscillatory_window(cfg, bracket=bracket)
-    return RegionMap(om_minus, om_plus, osc)
+    return RegionMap(om_minus, om_plus, oscillatory_window(cfg))
 
 
 def region_of(cfg, omega):
     """Region label at a single rotation rate."""
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
     return region_map(cfg).locate(omega)
 
 
@@ -377,7 +382,8 @@ def stability_scan(cfg, omega_grid):
 
     One pass over the grid: at each point the cubic is solved and
     classified, and its roots are assigned to branches by minimizing the
-    distance to a secant extrapolation of the previous two rows.
+    distance to a secant extrapolation of the previous two rows. Regions
+    come from region_map(cfg), whose resolution does not depend on the grid.
     """
     if isinstance(omega_grid, OmegaRange):
         grid = omega_grid.values()
@@ -386,14 +392,7 @@ def stability_scan(cfg, omega_grid):
         if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
             raise ValueError("omega grid must be strictly increasing, length >= 2")
 
-    # widen the window search past the grid: the oscillatory window must
-    # close inside the bracket even when the grid stops short of it
-    _, om_plus = exponential_window(cfg)
-    end = max(grid[-1] + 1.0, _default_bracket(cfg, om_plus).stop)
-    rmap = region_map(
-        cfg, bracket=OmegaRange(0.0, end, max(len(grid), 2001))
-    )
-
+    rmap = region_map(cfg)
     n = len(grid)
     chis = np.empty((n, 3), dtype=complex)
     classes = []

@@ -244,12 +244,18 @@ class LinearTrap:
     """Minimal d-dimensional trap: V, the Omega block, and M = [[-W, I], [-V, -W]].
 
     Used for the planar and one-dimensional reductions, which share all the
-    Riccati and invariant machinery with the 3D case.
+    Riccati and invariant machinery with the 3D case. W must be
+    antisymmetric and of V's shape, as both Riccati routes assume.
     """
 
     def __init__(self, v, omega_matrix, omega=0.0):
         self.v = np.asarray(v, dtype=float)
         self.omega_matrix = np.asarray(omega_matrix, dtype=float)
+        w = self.omega_matrix
+        if w.shape != self.v.shape or not np.array_equal(w, -w.T):
+            raise ValueError(
+                f"omega_matrix must be antisymmetric of V's shape, got {w.tolist()}"
+            )
         self.omega = float(omega)
         self.dim = self.v.shape[0]
 

@@ -148,6 +148,32 @@ def test_scan_parabola_column(capsys):
         assert row[-1] == fmt17(om * om)
 
 
+def test_scan_regions_agree_with_boundaries_on_a_fine_grid(capsys, tmp_path):
+    # V = diag(1, 2, 3) with the axis tilted 1e-4 rad from z: a narrow
+    # oscillatory window that a 3000-point scan samples more finely than
+    # the region map's bracket; the scan must still label it from the same
+    # map that boundaries reports
+    doc = {
+        "potential": {"diag": [1.0, 2.0, 3.0]},
+        "axis": [9.999999983333334e-05, 0.0, 0.999999995],
+        "omega": 1.0,
+    }
+    path = tmp_path / "tilt.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "boundaries", str(path))
+    assert code == 0
+    lo, hi = json.loads(out)["oscillatory"]
+    code, out, _ = run_cli(
+        capsys, "scan", str(path), "--omega-min", "2.9", "--omega-max", "3.0",
+        "--steps", "3000",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    inside = [row[-1] for row in rows if lo <= float(row[0]) <= hi]
+    assert len(inside) >= 3
+    assert all(region.rstrip("*") == "I2" for region in inside)
+
+
 def test_scan_bad_grid_is_config_error(capsys):
     code, out, err = run_cli(capsys, "scan", "fig1", "--omega-max", "0.0")
     assert code == 1

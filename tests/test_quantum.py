@@ -1,5 +1,7 @@
 """Riccati evolution, stationary Gaussian states, and Wigner diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -70,6 +72,21 @@ def test_rhs_zero_for_planar_embedding():
     cfg = fig2_config(0.5)
     k = planar_stationary_K(1.0, 2.0, 3.0, 0.5).matrix3()
     assert np.max(np.abs(riccati_rhs(k, cfg))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "trap, k",
+    [
+        (fig2_config(0.5), np.eye(2, dtype=complex)),
+        (planar_trap(1.0, 2.0, 0.5), np.eye(3, dtype=complex)),
+    ],
+    ids=["2x2_on_3d", "3x3_on_2d"],
+)
+def test_rhs_wrong_size_k_names_both_shapes(trap, k):
+    d = trap.dim
+    msg = re.escape(f"K has shape {k.shape}, the config needs {(d, d)}")
+    with pytest.raises(ValueError, match=msg):
+        riccati_rhs(k, trap)
 
 
 def test_rhs_rejects_asymmetric_k():
@@ -273,11 +290,25 @@ def test_wrong_size_k0_names_both_shapes(trap, k0, method):
         evolve_riccati(k0, trap, 1.0, 1e-2, method=method)
 
 
-def test_direct_rejects_asymmetric_k0():
+@pytest.mark.parametrize("method", ["direct", "linearized"])
+def test_evolve_rejects_asymmetric_k0(method):
     cfg = fig2_config(0.5)
     k0 = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
     with pytest.raises(NotSymmetric):
-        evolve_riccati(k0, cfg, 1.0, 1e-2, method="direct")
+        evolve_riccati(k0, cfg, 1.0, 1e-2, method=method)
+
+
+@pytest.mark.parametrize("method", ["direct", "linearized"])
+def test_evolve_symmetrizes_k0_within_tolerance(method):
+    # an asymmetry below GaussianState's 1e-9 relative bound is accepted
+    # and removed before the run, on both routes alike
+    cfg = fig2_config(0.5)
+    k0 = np.eye(3, dtype=complex)
+    k0[0, 1] = 1e-11
+    traj = evolve_riccati(k0, cfg, 0.1, 1e-2, method=method)
+    sym = evolve_riccati(GaussianState(k0), cfg, 0.1, 1e-2, method=method)
+    assert np.array_equal(traj.ks[0], 0.5 * (k0 + k0.T))
+    assert np.array_equal(traj.ks, sym.ks)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e3], ids=["first_step", "third_step"])

@@ -27,6 +27,7 @@ from rototrap import (
     stability_scan,
     window_coeffs,
 )
+from rototrap import stability
 
 from conftest import (
     V123,
@@ -211,9 +212,13 @@ def test_oscillatory_window_small_tilt():
     assert b == pytest.approx(3.0524497035, abs=1e-7)
 
 
-def test_oscillatory_window_bracket_too_small():
+def test_oscillatory_window_bracket_too_small(monkeypatch):
+    # fig1's window runs to 3.22, past this bracket's end
+    monkeypatch.setattr(
+        stability, "_default_bracket", lambda cfg, om_plus: OmegaRange(0.0, 3.0, 200)
+    )
     with pytest.raises(BracketTooSmall):
-        oscillatory_window(fig1_config(1.0), bracket=OmegaRange(0.0, 3.0, 200))
+        oscillatory_window(fig1_config(1.0))
 
 
 def test_cubic_discriminant_signs():
@@ -236,6 +241,11 @@ def test_region_boundary_flag():
     lab = region_of(cfg, 1.0)
     assert lab.boundary and lab.label == "I1"
     assert str(lab) == "I1*"
+    # each oscillatory edge reports the I2 window it bounds
+    rmap = region_map(fig1_config(1.0))
+    a, b = rmap.oscillatory
+    for edge in (a, b):
+        assert rmap.locate(edge) == ("I2", a, b, True)
 
 
 def test_region_map_labels_ordered():

@@ -11,6 +11,7 @@ import rototrap
 from rototrap import (
     CharPolyCoeffs,
     InvalidConfig,
+    LinearTrap,
     NegativeOmega,
     NonPositivePotential,
     NonSymmetricPotential,
@@ -103,6 +104,16 @@ def test_reduced_trap_matrices():
     assert np.allclose(m[2:, :2], -np.diag([1.0, 2.0]))
     line = line_trap(2.0)
     assert np.allclose(line.dynamics_matrix, [[0.0, 1.0], [-2.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "w",
+    [[[0.0, 0.5], [0.0, 0.0]], [[0.0, -0.5], [0.5, 0.1]], np.zeros((3, 3))],
+    ids=["not_antisymmetric", "nonzero_diagonal", "wrong_shape"],
+)
+def test_linear_trap_checks_omega_matrix(w):
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LinearTrap(np.diag([1.0, 2.0]), w, 0.5)
 
 
 # -- characteristic polynomial -----------------------------------------------
