@@ -55,7 +55,7 @@ class OmegaRange:
     Parameters
     ----------
     start, stop : float
-        Endpoints, start < stop.
+        Finite endpoints, start < stop.
     steps : int
         Number of grid points, at least 2. Endpoints are included.
     """
@@ -64,6 +64,8 @@ class OmegaRange:
         start = float(start)
         stop = float(stop)
         steps = int(steps)
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise ValueError(f"OmegaRange requires finite endpoints, got [{start}, {stop}]")
         if not start < stop:
             raise ValueError(f"OmegaRange requires start < stop, got [{start}, {stop}]")
         if steps < 2:
@@ -199,6 +201,40 @@ def _rk4_step_map(m, h):
     return r, bs
 
 
+# steps that linear_flow writes per numpy call, and blocks per chunk of its
+# forcing recurrence; fixed, so a state's bits depend on its step index alone
+_BLOCK = 64
+_GROUP = 16
+_CHUNK = _BLOCK * _GROUP
+
+
+def _chunk_particular(f, r, bs, starts, n_steps):
+    """P_1..P_B of each block of one chunk of steps, from zero at its start.
+
+    Step i of the chunk (i < n_steps) takes f at rows starts[0] + i,
+    starts[1] + i and starts[2] + i, its start, midpoint and end, with the
+    matrices bs. Returns part of shape (d, B, G, w), part[:, j, g] = P_{j+1}
+    of block g. P comes from the forward recurrence P_{j+1} = R P_j + inc_j,
+    so a non-finite f poisons no P before its step.
+    """
+    d, w = f.shape[1:]
+    stage = np.zeros((d, _BLOCK, _GROUP, w), dtype=f.dtype)
+    by_step = stage.transpose(2, 1, 0, 3)  # [g, j] is step g B + j of the chunk
+    n_full, rem = divmod(n_steps, _BLOCK)
+    part = np.zeros_like(stage)
+    for b, start in zip(bs, starts):
+        rows = f[start: start + n_steps]
+        by_step[:n_full] = rows[: n_full * _BLOCK].reshape(n_full, _BLOCK, d, w)
+        if rem:
+            by_step[n_full, :rem] = rows[n_full * _BLOCK:]
+        part += (b @ stage.reshape(d, -1)).reshape(part.shape)
+    flat = part.reshape(d, _BLOCK, -1)
+    # rows past the chunk's last step feed only the slack states
+    for j in range(1, min(_BLOCK, n_steps)):
+        flat[:, j] += r @ flat[:, j - 1]
+    return part
+
+
 def linear_flow(m, y0, t_end, dt, forcing=None):
     """Integrate dy/dt = M y + f(t) with RK4 taken as its exact one-step map.
 
@@ -209,7 +245,16 @@ def linear_flow(m, y0, t_end, dt, forcing=None):
     with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4 stability function
     and, for A = hM, B0 = h/6 (I + A + A^2/2 + A^3/4),
     B_half = h/6 (4I + 2A + A^2/2) and B1 = h/6 I. The matrices are built
-    once per step size, so a step costs one matrix product and one add.
+    once per step size, and the steps are taken a block of B = 64 at a time.
+    A block's states are R^j y_start + P_j for j = 1..B, where y_start is
+    the last state of the block before and P_j the j-step particular
+    solution from zero at the block start; one stacked product with
+    R^1..R^B writes them all. The P_j of each chunk of 16 blocks come from
+    the forward recurrence P_j = R P_{j-1} + inc_{j-1}, each of its B steps
+    one product over all the chunk's blocks, so a non-finite forcing poisons
+    no state before its step. Blocks and chunks start at fixed step indices
+    and every product has the same shape in every run, so a run cut short
+    repeats the longer run's states bit for bit.
 
     The run starts at t = 0. Steps, times (accumulated as t = t + h), the
     ValueError guards and the NonFiniteState prefix are those of
@@ -239,23 +284,39 @@ def linear_flow(m, y0, t_end, dt, forcing=None):
                 f"forcing returned shape {f.shape}, expected {(2 * n + 1,) + y.shape}"
             )
     dtype = np.result_type(y, m) if f is None else np.result_type(y, m, f)
-    states = np.empty((n + 1,) + y.shape, dtype=dtype)
+    d = len(y)
+    # one block of slack rows: every block is computed whole, so a state's
+    # bits never depend on where the run ends
+    states = np.empty((n + 1 + _BLOCK,) + y.shape, dtype=dtype)
     states[0] = y
+    # each state as a (d, w) block of columns; a real R acts on the real and
+    # imaginary parts alike, so complex states are stepped as their real view
+    cols = states.reshape(len(states), d, -1)
+    if f is not None:
+        f = np.ascontiguousarray(f, dtype=dtype).reshape(2 * n + 1, d, -1)
+    if dtype.kind == "c" and m.dtype.kind != "c":
+        cols = cols.view(np.finfo(dtype).dtype)
+        f = None if f is None else f.view(cols.dtype)
+    w = cols.shape[2]
     # an overflowing run is reported below as NonFiniteState, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, h in runs:
-            r, (b0, bh, b1) = _rk4_step_map(m, h)
-            if f is not None:
-                # f at each step's start, midpoint and end: rows lo.., n+1+lo.., lo+1..
-                inc = sum(
-                    np.einsum("ij,sj...->si...", b, f[start: start + hi - lo])
-                    for b, start in ((b0, lo), (bh, n + 1 + lo), (b1, lo + 1))
-                )
-            y = states[lo]
-            for i in range(lo, hi):
-                y = r @ y if f is None else r @ y + inc[i - lo]
-                states[i + 1] = y
-    return _finite_trajectory(times, states)
+            r, bs = _rk4_step_map(m, h)
+            # R^1..R^B stacked as a (B d, d) matrix, by doubling
+            pows = r[None]
+            while len(pows) < _BLOCK:
+                pows = np.concatenate([pows, pows @ pows[-1]])
+            pows = pows[:_BLOCK].reshape(-1, d)
+            for c0 in range(lo, hi, _CHUNK):
+                c1 = min(c0 + _CHUNK, hi)
+                if f is not None:
+                    part = _chunk_particular(f, r, bs, (c0, n + 1 + c0, c0 + 1), c1 - c0)
+                for g, s in enumerate(range(c0, c1, _BLOCK)):
+                    block = cols[s + 1: s + 1 + _BLOCK]
+                    np.matmul(pows, cols[s], out=block.reshape(-1, w))
+                    if f is not None:
+                        block += part[:, :, g].transpose(1, 0, 2)
+    return _finite_trajectory(times, states[: n + 1])
 
 
 def _finite_trajectory(times, states):

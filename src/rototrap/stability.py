@@ -312,7 +312,7 @@ class RegionMap:
 
     def locate(self, omega):
         omega = float(omega)
-        if omega < 0:
+        if not omega >= 0:  # NaN too
             raise ValueError("omega must be >= 0")
         for edge, lab in self._edges:
             if abs(omega - edge) <= 1e-9 * (1.0 + edge):

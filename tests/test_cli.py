@@ -185,6 +185,18 @@ def test_scan_bad_grid_is_config_error(capsys):
     assert last_error_json(err)["error"] == "InvalidConfig"
 
 
+def test_scan_infinite_grid_end_is_one_config_error():
+    # a fresh process, so a numpy warning would show on stderr
+    proc = _fresh_run("scan", "fig1", "--omega-max", "inf", "--steps", "5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    obj = json.loads(lines[0])
+    assert obj["error"] == "InvalidConfig"
+    assert "finite endpoints" in obj["message"]
+
+
 def test_scan_missing_required_flag(capsys):
     code, out, err = run_cli(capsys, "scan", "fig1")
     assert code == 1

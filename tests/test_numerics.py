@@ -19,15 +19,17 @@ from rototrap import (
     linear_flow,
     planar_stationary_K,
     posdef_min_eig,
+    region_of,
     rk4_integrate,
     solve_cubic,
     char_poly_coeffs,
     trajectory_to_csv,
 )
 
+from rototrap import numerics
 from rototrap.numerics import cinv3_stack
 
-from conftest import fig1_config, hard_configs
+from conftest import fig1_config, fig2_config, hard_configs
 
 
 def test_fmt17_roundtrips():
@@ -68,6 +70,9 @@ def test_omega_range_invariants():
         OmegaRange(1.0, 1.0, 5)
     with pytest.raises(ValueError):
         OmegaRange(0.0, 1.0, 1)
+    for start, stop in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite endpoints"):
+            OmegaRange(start, stop, 5)
 
 
 def test_trajectory_invariants():
@@ -179,6 +184,85 @@ def test_linear_flow_matches_rk4(cfg, seed, block, forced, steps, ragged, couran
     assert traj.states.shape == ref.states.shape
     assert traj.states.dtype == ref.states.dtype
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
+def _rk4_rhs(m, forcing):
+    def rhs(t, y):
+        out = m @ y
+        return out if forcing is None else out + forcing(np.array([t]))[0]
+
+    return rhs
+
+
+_B = numerics._BLOCK
+
+
+@pytest.mark.parametrize("steps", [_B - 1, _B, _B + 1, 1000])
+@pytest.mark.parametrize("omega, region", [(0.5, "S1"), (1.2, "I1")], ids=["stable", "unstable"])
+@pytest.mark.parametrize("forced", [True, False], ids=["forced_vector", "homogeneous_block"])
+def test_linear_flow_across_block_edges_matches_rk4(steps, omega, region, forced):
+    # step counts on both sides of the first block edge and past many edges,
+    # each with a ragged last step
+    cfg = fig2_config(omega)
+    assert region_of(cfg, omega).label == region
+    m = cfg.dynamics_matrix
+    rng = np.random.default_rng(steps)
+    dt = 0.05 / np.linalg.norm(m, 1)
+    t_end = (steps + 0.4) * dt
+    if forced:
+        y0 = rng.standard_normal(6)
+        forcing = _harmonic_forcing(rng, (6,), float)
+    else:
+        y0 = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        forcing = None
+    ref = rk4_integrate(_rk4_rhs(m, forcing), y0, t_end, dt)
+    traj = linear_flow(m, y0, t_end, dt, forcing=forcing)
+    assert len(ref) == steps + 2
+    assert np.array_equal(traj.times, ref.times)
+    assert traj.states.shape == ref.states.shape
+    assert traj.states.dtype == ref.states.dtype
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
+@pytest.mark.parametrize("first_bad", [_B - 1, _B, _B + 1], ids=["before_edge", "on_edge", "after_edge"])
+@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+def test_linear_flow_nan_forcing_near_a_block_edge_gives_rk4_prefix(first_bad, block):
+    # f turns NaN just after t_k for k = first_bad, so step k is the first
+    # step that reads it and state k + 1 the first non-finite state
+    m = fig1_config(0.9).dynamics_matrix
+    dt = 0.01
+    y0 = np.ones((6, 3) if block else 6)
+
+    def forcing(ts):
+        ts = np.asarray(ts, dtype=float)
+        bad = np.where(ts > (first_bad + 0.25) * dt, np.nan, 0.0)
+        return bad.reshape(ts.shape + (1,) * y0.ndim) + np.ones(y0.shape)
+
+    with pytest.raises(NonFiniteState) as ref_info:
+        rk4_integrate(_rk4_rhs(m, forcing), y0, (first_bad + 10) * dt, dt)
+    with pytest.raises(NonFiniteState) as info:
+        linear_flow(m, y0, (first_bad + 10) * dt, dt, forcing=forcing)
+    ref, traj = ref_info.value.trajectory, info.value.trajectory
+    assert len(ref) == first_bad + 1
+    assert str(info.value) == str(ref_info.value)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
+def test_linear_flow_cut_short_repeats_forced_states_bit_for_bit():
+    # across block edges and the first edge of the forcing recurrence's chunks
+    chunk = numerics._CHUNK
+    m = fig1_config(0.9).dynamics_matrix
+    rng = np.random.default_rng(7)
+    y0 = rng.standard_normal(6)
+    forcing = _harmonic_forcing(rng, (6,), float)
+    dt = 0.01
+    full = linear_flow(m, y0, (chunk + 2 * _B) * dt, dt, forcing=forcing)
+    for steps in (1, _B - 1, _B, _B + 1, 1000, chunk - 1, chunk, chunk + 1):
+        short = linear_flow(m, y0, (steps + 0.5) * dt, dt, forcing=forcing)
+        assert len(short) == steps + 2
+        assert np.array_equal(short.times[:-1], full.times[: steps + 1])
+        assert np.array_equal(short.states[:-1], full.states[: steps + 1])
 
 
 def test_linear_flow_step_list_matches_rk4():

@@ -236,6 +236,15 @@ def test_region_of_z_axis_examples():
     assert region_of(cfg, 2.0).label == "S2"
 
 
+@pytest.mark.parametrize("omega", [-0.5, float("nan")], ids=["negative", "nan"])
+def test_locate_and_region_of_refuse_a_bad_rate(omega):
+    cfg = make_config([1, 2, 3], [0, 0, 1], 0.5)
+    with pytest.raises(ValueError, match="omega must be >= 0"):
+        region_map(cfg).locate(omega)
+    with pytest.raises(ValueError, match="omega must be >= 0"):
+        region_of(cfg, omega)
+
+
 def test_region_boundary_flag():
     cfg = fig2_config(0.5)
     lab = region_of(cfg, 1.0)
