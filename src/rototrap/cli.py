@@ -15,11 +15,11 @@ from importlib.resources import files
 
 import numpy as np
 
-from .errors import InvalidConfig, RototrapError
+from .errors import ConfigError, InvalidConfig, RototrapError, VerificationError
 from .gravity import (
-    classify_resonances,
     default_forced_dt,
     forced_evolve,
+    resonant_frequencies,
     trajectory_to_csv,
 )
 from .modes import eigenmodes
@@ -54,8 +54,7 @@ def emit_plot_data(table, resonance=None):
         lines.append(f"# resonance_omega1={fmt17(resonance.omega1)},region={resonance.region1}")
         lines.append(f"# resonance_omega2={fmt17(resonance.omega2)},region={resonance.region2}")
     lines.append(table.CSV_HEADER + ",chi_parabola")
-    body = table.to_csv().strip("\n").split("\n")[1:]
-    for row, om in zip(body, table.omegas):
+    for row, om in zip(table.rows(), table.omegas):
         lines.append(row + "," + fmt17(om * om))
     return "\n".join(lines) + "\n"
 
@@ -166,10 +165,13 @@ def _load_config(path_or_name):
     if path_or_name in FIXTURES:
         path_or_name = fixture_path(path_or_name)
     raw = _read_json(path_or_name, "config")
+    if isinstance(raw, dict):
+        try:
+            return validate_config(raw)
+        except ConfigError:
+            pass  # config_errors lists every problem, not only the first
     errs = config_errors(raw)
-    if errs:
-        raise InvalidConfig("config rejected: " + "; ".join(errs), errors=errs)
-    return validate_config(raw)
+    raise InvalidConfig("config rejected: " + "; ".join(errs), errors=errs)
 
 
 def _load_k0(path):
@@ -217,7 +219,7 @@ def _cmd_modes(cfg, args):
 
 
 def _cmd_resonance(cfg, args):
-    return _json_text(classify_resonances(cfg).to_json_obj())
+    return _json_text(resonant_frequencies(cfg).to_json_obj())
 
 
 def _cmd_ground_state(cfg, args):
@@ -251,8 +253,7 @@ def _cmd_verify(cfg, args):
     if not report.ok:
         _write_output(text, args.output)
         names = ", ".join(c.name for c in report.failed)
-        _print_error_json("VerificationError", f"verification failed: {names}")
-        raise SystemExit(3)
+        raise VerificationError(f"verification failed: {names}")
     return text
 
 
@@ -289,8 +290,6 @@ def main(argv=None):
             extra["errors"] = exc.errors
         _print_error_json(exc.code, str(exc), **extra)
         return exc.exit_code
-    except SystemExit as exc:
-        return int(exc.code or 0)
     _write_output(text, args.output)
     return 0
 

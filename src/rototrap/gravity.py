@@ -129,9 +129,11 @@ class ResonanceReport:
 def resonant_frequencies(cfg, rmap=None):
     """Roots of the resonance biquadratic, sorted, with stability regions.
 
-    Raises DegenerateD when the trap is fully symmetric about the axis
-    (|D| < 1e-12): the equation degenerates to a single root and the
-    generic analysis does not apply.
+    Equivalent to intersecting the parabola chi = Omega^2 with the chi
+    branches of a stability scan; here the roots come from the biquadratic
+    and the labels from the window arithmetic. Raises DegenerateD when the
+    trap is fully symmetric about the axis (|D| < 1e-12): the equation
+    degenerates to a single root and the generic analysis does not apply.
     """
     d, e, f = resonance_coefficients(cfg)
     if abs(d) < 1e-12:
@@ -145,14 +147,7 @@ def resonant_frequencies(cfg, rmap=None):
     return ResonanceReport(roots[0], roots[1], labels[0], labels[1])
 
 
-def classify_resonances(cfg, rmap=None):
-    """Resonance report with region labels for each root.
-
-    Equivalent to intersecting the parabola chi = Omega^2 with the chi
-    branches of a stability scan; here the roots come from the biquadratic
-    and the labels from the window arithmetic.
-    """
-    return resonant_frequencies(cfg, rmap=rmap)
+classify_resonances = resonant_frequencies  # the same function under its older name
 
 
 def default_forced_dt(cfg):

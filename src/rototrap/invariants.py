@@ -22,7 +22,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import NumericError, WrongDimension
-from .modes import select_positive_signature_modes, symplectic_form
+from .modes import select_positive_signature_modes, symplectic_form, symplectic_normalize
 
 __all__ = [
     "QuadraticInvariant",
@@ -256,8 +256,8 @@ def amplitude_energies(modes, x):
     energies = []
     omegas = []
     amps = []
-    for mv, s in sel:
-        xb = mv.xbar / np.sqrt(s)
+    for mv, _ in sel:
+        xb = symplectic_normalize(mv).xbar
         a = complex(-1j * (np.conj(xb) @ (jm @ x)))
         om = float(mv.omega.real)
         energies.append(om * abs(a) ** 2)
@@ -281,14 +281,17 @@ def _unvec_triple(vec, d):
     )
 
 
-def invariance_nullspace(cfg, rel_threshold=1e-10):
+_NULL_REL_THRESHOLD = 1e-10
+
+
+def invariance_nullspace(cfg):
     """Null space of the defining equations, solved blind.
 
     Unknowns are the 3 d^2 entries of (T, U, W); rows are the three matrix
     equations (3 d^2 of them) plus elementwise symmetry constraints on T
     and U (2 d^2 rows). Returns (dimension, basis rows, singular values)
-    with the null decided by singular values below rel_threshold times the
-    largest. For generic 3D configs the dimension is exactly 3,
+    with the null decided by singular values below _NULL_REL_THRESHOLD
+    times the largest. For generic 3D configs the dimension is exactly 3,
     independent of any closed-form expression.
     """
     d = cfg.v.shape[0]
@@ -308,7 +311,7 @@ def invariance_nullspace(cfg, rel_threshold=1e-10):
         sym[n + k, n + d * j + i] -= 1.0
     a_full = np.vstack([a_evol, sym])
     _, sv, vt = np.linalg.svd(a_full)
-    null_dim = int(np.sum(sv < rel_threshold * sv[0]))
+    null_dim = int(np.sum(sv < _NULL_REL_THRESHOLD * sv[0]))
     basis = vt[len(sv) - null_dim:] if null_dim else None
     return null_dim, basis, sv
 

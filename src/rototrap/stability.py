@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import AmbiguousClassification, BracketTooSmall
-from .numerics import OmegaRange, fmt17
+from .numerics import OmegaRange
 from .trap import char_poly_coeffs
 
 __all__ = [
@@ -366,15 +366,15 @@ class ScanTable:
     def __len__(self):
         return len(self.omegas)
 
+    def rows(self):
+        """One CSV line per grid point (no newline), numbers as fmt17 writes them."""
+        chis = np.stack([self.chis.real, self.chis.imag], axis=-1).reshape(-1, 6)
+        row = ",".join(["{:.17g}"] * 7) + ",{},{}"
+        nums = np.column_stack([self.omegas, chis]).tolist()
+        return [row.format(*v, c, r) for v, c, r in zip(nums, self.classes, self.regions)]
+
     def to_csv(self):
-        lines = [self.CSV_HEADER]
-        for i in range(len(self.omegas)):
-            vals = [fmt17(self.omegas[i])]
-            for r in self.chis[i]:
-                vals += [fmt17(r.real), fmt17(r.imag)]
-            vals += [self.classes[i], self.regions[i]]
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
+        return "\n".join([self.CSV_HEADER] + self.rows()) + "\n"
 
 
 def stability_scan(cfg, omega_grid):

@@ -13,7 +13,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .errors import InInstabilityRegion, RototrapError, VerificationError
+from .errors import InInstabilityRegion, RototrapError
 from .gravity import resonance_coefficients, resonant_frequencies
 from .invariants import (
     amplitude_energies,
@@ -40,6 +40,7 @@ from .trap import char_poly_coeffs, char_poly_from_matrix, make_config
 __all__ = ["CheckResult", "VerificationReport", "verify_config"]
 
 _SEED = 20240817
+_DRIFT_FAST_PERIODS = 128
 
 
 class CheckResult(NamedTuple):
@@ -71,11 +72,6 @@ class VerificationReport:
             ],
         }
 
-    def raise_if_failed(self):
-        if not self.ok:
-            names = ", ".join(c.name for c in self.failed)
-            raise VerificationError(f"verification failed: {names}")
-
 
 def _run(name, fn, checks):
     try:
@@ -96,7 +92,10 @@ def _rotation_matrix(rng):
 
 
 def verify_config(cfg):
-    """Run the cross-route consistency suite on one validated config."""
+    """Run the cross-route consistency suite on one validated config.
+
+    A stable config's checks share one eigendecomposition of M.
+    """
     checks: List[CheckResult] = []
     coeffs = char_poly_coeffs(cfg)
     scale = max(1.0, abs(coeffs.a), abs(coeffs.b), abs(coeffs.c))
@@ -208,8 +207,10 @@ def verify_config(cfg):
 
     stable_here = (not here.boundary) and here.label.startswith("S")
     if stable_here:
+        ms = eigenmodes(cfg.dynamics_matrix)
+
         def chk_stationary():
-            state = stationary_K_from_modes(cfg)
+            state = stationary_K_from_modes(cfg, ms)
             rhs = riccati_rhs(state.k, cfg)
             resid = float(np.max(np.abs(rhs)))
             kscale = max(1.0, float(np.max(np.abs(state.k))))
@@ -221,21 +222,22 @@ def verify_config(cfg):
 
         _run("stationary_riccati_residual", chk_stationary, checks)
 
-        ms = eigenmodes(cfg.dynamics_matrix)
         omegas = sorted(abs(m.omega) for m in ms.modes)
         t_fast = 2.0 * np.pi / omegas[-1]
         t_slow = 2.0 * np.pi / max(omegas[0], 1e-6)
         x0 = np.array([1.0, 0.5, -0.3, 0.2, 1.1, -0.7])
 
         def chk_drift():
-            traj = linear_flow(
-                cfg.dynamics_matrix, x0, 10.0 * t_slow, t_fast / 400.0
-            )
+            # capped, as the slowest mode freezes next to an exponential edge
+            span = min(10.0 * t_slow, _DRIFT_FAST_PERIODS * t_fast)
+            traj = linear_flow(cfg.dynamics_matrix, x0, span, t_fast / 400.0)
             worst = max(
                 trajectory_drift(build_invariant("C1", cfg), traj),
                 trajectory_drift(build_invariant("C2_3D", cfg), traj),
             )
-            return worst <= 1e-7, f"max relative drift {worst:.3e}"
+            capped = span < 10.0 * t_slow
+            note = f", span capped at {_DRIFT_FAST_PERIODS} fast periods" if capped else ""
+            return worst <= 1e-7, f"max relative drift {worst:.3e}{note}"
 
         _run("trajectory_invariant_drift", chk_drift, checks)
 
@@ -254,7 +256,7 @@ def verify_config(cfg):
 
         if null_dim == 3:
             def chk_wigner_span():
-                state = stationary_K_from_modes(cfg)
+                state = stationary_K_from_modes(cfg, ms)
                 dec = wigner_decompose_into_invariants(wigner_form(state.k), cfg)
                 return dec.residual <= 1e-8, (
                     f"span residual {dec.residual:.3e}"

@@ -565,6 +565,41 @@ def test_schema_errors_are_listed(capsys, tmp_path, doc, n_errors, first):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, errors",
+    [
+        ([1, 2], ["InvalidConfig: config document must be a JSON object"]),
+        ("text", ["InvalidConfig: config document must be a JSON object"]),
+        (
+            {
+                "potential": {"diag": [1.0, -2.0, 3.0]},
+                "axis": [0.0, 0.0, 2.0],
+                "omega": -1.0,
+                "omega_unit": 0.0,
+            },
+            [
+                "NonPositivePotential: smallest potential eigenvalue -2 <= 0",
+                "InvalidConfig: axis norm 2 differs from 1 by more than 1e-6",
+                "NegativeOmega: omega must be >= 0, got -1.0",
+                "InvalidConfig: omega_unit must be positive, got 0.0",
+            ],
+        ),
+    ],
+    ids=["array", "string", "four_bad_fields"],
+)
+def test_rejected_document_lists_exactly_its_errors(capsys, tmp_path, doc, errors):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "boundaries", str(path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "InvalidConfig",
+        "message": "config rejected: " + "; ".join(errors),
+        "errors": errors,
+    }
+
+
 def test_unknown_subcommand(capsys):
     code, out, err = run_cli(capsys, "bogus", "fig1")
     assert code == 1

@@ -18,6 +18,7 @@ from rototrap import (
     cubic_discriminant,
     default_classify_tol,
     exponential_window,
+    fmt17,
     make_config,
     oscillatory_window,
     planar_discriminant,
@@ -395,6 +396,23 @@ def test_scan_csv_layout():
     first = lines[1].split(",")
     assert len(first) == 9
     assert float(first[0]) == 0.0
+
+
+def test_scan_rows_are_fmt17_cells_and_feed_to_csv():
+    # negative zeros and imaginary parts must come out as fmt17 writes them
+    table = ScanTable(
+        [0.0, 0.1, 1.0 / 3.0],
+        [[-0.0, 1e-300 - 2.5j, 3.0 + 2.5j], [1.0, 2.0, 3.0], [np.pi, -np.e + 1j / 3, 7.0]],
+        ["Stable", "Oscillatory*", "Exponential"],
+        ["S1", "I2", "I1"],
+    )
+    rows = table.rows()
+    for i, row in enumerate(rows):
+        cells = [fmt17(table.omegas[i])]
+        for z in table.chis[i]:
+            cells += [fmt17(z.real), fmt17(z.imag)]
+        assert row == ",".join(cells + [table.classes[i], table.regions[i]])
+    assert table.to_csv() == "\n".join([ScanTable.CSV_HEADER] + rows) + "\n"
 
 
 def test_scan_repeated_call_is_byte_identical():

@@ -1,0 +1,73 @@
+"""The cross-route consistency suite: near-edge runs and shared work."""
+
+import pytest
+
+from rototrap import (
+    classify_resonances,
+    exponential_window,
+    make_config,
+    resonant_frequencies,
+    verify_config,
+)
+from rototrap import quantum, verify
+
+from conftest import fig1_config
+
+# V = diag(1, 2, 3) tilted off every principal axis: both exponential edges
+# are finite, and the slowest mode freezes at each of them
+_EDGE_TRAP = make_config([1.0, 2.0, 3.0], [0.0, 0.6, 0.8], 0.5)
+
+
+def _next_to_edge(side, rel):
+    om_minus, om_plus = exponential_window(_EDGE_TRAP)
+    om = om_minus * (1.0 - rel) if side == "below" else om_plus * (1.0 + rel)
+    return _EDGE_TRAP.with_omega(om)
+
+
+def _drift_check(report):
+    return next(c for c in report.checks if c.name == "trajectory_invariant_drift")
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_verify_passes_next_to_an_exponential_edge(side):
+    # 10 slow periods here would be over 1e6 steps, whose drift fails 1e-7
+    report = verify_config(_next_to_edge(side, 1e-4))
+    assert report.ok, [c for c in report.checks if not c.ok]
+    assert "span capped at 128 fast periods" in _drift_check(report).detail
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_verify_drift_run_stays_bounded_at_the_edge(side):
+    # uncapped, 1e-8 from the edge the run would be about 1.3e8 steps
+    check = _drift_check(verify_config(_next_to_edge(side, 1e-8)))
+    assert check.ok, check.detail
+    assert "span capped" in check.detail
+
+
+def test_verify_drift_span_uncapped_away_from_edges():
+    # fig1's slow-to-fast period ratio is about 10, so 10 slow periods is
+    # under the cap and the report reads as it always has
+    check = _drift_check(verify_config(fig1_config(1.0)))
+    assert check.ok
+    assert "capped" not in check.detail
+
+
+def test_stable_verify_decomposes_m_twice(monkeypatch):
+    # once in eigen_cubic_crosscheck, once for every stable-branch check
+    calls = []
+    real = verify.eigenmodes
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(verify, "eigenmodes", counted)
+    monkeypatch.setattr(quantum, "eigenmodes", counted)
+    report = verify_config(fig1_config(1.0))
+    assert report.ok
+    assert "wigner_invariant_span" in [c.name for c in report.checks]
+    assert len(calls) == 2
+
+
+def test_classify_resonances_is_resonant_frequencies():
+    assert classify_resonances is resonant_frequencies
