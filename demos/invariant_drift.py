@@ -1,11 +1,11 @@
 """Quadratic constants of motion along an integrated orbit.
 
-Besides the rotating-frame Hamiltonian the trap admits two further quadratic
-invariants; solved blind, the defining equations have a null space of
-dimension exactly three. The first two closed forms satisfy the equations to
-rounding. The displayed third does not (its residual is order one), so the
-usable third invariant is completed numerically from the null space. All
-three then stay constant along an integrated orbit to integrator accuracy.
+Besides the rotating-frame Hamiltonian H the trap admits two further
+quadratic invariants; solved blind, the defining equations have a null space
+of dimension exactly three. With M = J H the dynamics matrix, the three are
+G0 = H, G1 = H (-M^2) and the third invariant G2 = H (-M^2)^2. They solve
+the defining equations to rounding and stay constant along an integrated
+orbit to integrator accuracy.
 """
 
 import sys
@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from rototrap import (
-    build_invariant,
     char_poly_coeffs,
-    completed_third_invariant,
     evaluate_invariant,
     invariance_nullspace,
     invariance_residuals,
+    invariant_forms,
     linear_flow,
     make_config,
     solve_cubic,
@@ -39,17 +38,10 @@ def main():
     dim, _, _ = invariance_nullspace(cfg)
     print(f"null space of the defining equations: dimension {dim}")
 
-    invs = [
-        build_invariant("C1", cfg),
-        build_invariant("C2_3D", cfg),
-        completed_third_invariant(cfg),
-    ]
-    c3_closed = invariance_residuals(build_invariant("C3", cfg), cfg).worst
+    invs = invariant_forms(cfg)
     for inv in invs:
         res = invariance_residuals(inv, cfg).worst
         print(f"  {inv.label:12s} residual {res:.2e}")
-    print(f"  {'C3 closed':12s} residual {c3_closed:.3g}  "
-          "(defect; the completed triple replaces it)")
 
     chi = max(abs(r.real) for r in solve_cubic(char_poly_coeffs(cfg)))
     t_fast = 2.0 * np.pi / np.sqrt(chi)

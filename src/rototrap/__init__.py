@@ -76,6 +76,7 @@ from .invariants import (
     evaluate_invariant,
     invariance_nullspace,
     invariance_residuals,
+    invariant_forms,
     quadratic_form,
     trajectory_drift,
 )

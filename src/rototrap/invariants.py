@@ -7,14 +7,15 @@ dX/dt = M X exactly when the matrix triple satisfies
     0 = [Wm, U] - W V - V W^T,
     0 = [Wm, W] + U - V T,
 
-with Wm the rotation block. Three independent solutions exist in 3D (the
-count follows the dimension). The first is the Hamiltonian itself,
-(T, W, U) = (I, Wm, V). Closed-form expressions for the second and third
-are built here; the second checks out to rounding, while the displayed
-third fails its own defining equations by a large margin, so alongside it
-this module solves the defining equations directly as a homogeneous linear
-system and completes the basis from the numerical null space. Residuals of
-everything are reported, never patched.
+with Wm the rotation block. Writing M = J H with H = -J M the symmetric
+Hamiltonian matrix, every G_n = H (-M^2)^n is symmetric and solves
+M^T G + G M = 0, and Cayley-Hamilton leaves n = 0 .. d-1 independent:
+invariant_forms builds these d forms, G0 = H the Hamiltonian (T, W, U) =
+(I, Wm, V), G1 the hand-derived second invariant C2_3D, and G2 =
+H (-M^2)^2 the third. In mode coordinates C_n = sum_k omega_k^(2n) E_k.
+The hand-derived forms (build_invariant) and a blind solve of the defining
+equations (invariance_nullspace, completed_third_invariant) stay as
+independent routes to check them against.
 """
 
 from typing import NamedTuple, Tuple
@@ -29,6 +30,7 @@ __all__ = [
     "InvarianceResiduals",
     "AmplitudeDecomposition",
     "build_invariant",
+    "invariant_forms",
     "invariance_residuals",
     "evaluate_invariant",
     "quadratic_form",
@@ -100,11 +102,9 @@ def build_invariant(label, cfg):
 
     C1 = (I, Wm, V) in any dimension. C2_2D applies to the planar problem
     (a 2D config, or a 3D one rotating about a principal axis that V
-    leaves decoupled); anything else raises WrongDimension. C2_3D and C3
-    are the 3D closed forms; the C3 triple is built exactly as displayed
-    in its source even though its residuals are far from zero, so the
-    defect stays visible (see completed_third_invariant for the usable
-    replacement).
+    leaves decoupled); anything else raises WrongDimension. C2_3D is the
+    3D closed form. These hand-derived forms are the oracle for
+    invariant_forms: C1 = G0, C2_3D = G1 and C2_2D = G1 - 3 Omega^2 G0.
     """
     v = cfg.v
     wm = cfg.omega_matrix
@@ -130,44 +130,26 @@ def build_invariant(label, cfg):
         w = wm @ v + 2.0 * v @ wm - wm @ o2
         u = v @ v - v @ o2 - o2 @ v - wm @ v @ wm
         return QuadraticInvariant(t, w, u, "C2_3D")
-    if label == "C3":
-        om2 = cfg.omega ** 2
-        trv = float(np.trace(v))
-        t = (
-            3.0 * v @ v
-            + 4.0 * o2 @ v
-            + 4.0 * v @ o2
-            + wm @ v @ wm
-            + 8.0 * om2 * v
-            - 13.0 * trv * (om2 * np.eye(3) - o2)
-        )
-        u = (
-            3.0 * v @ v @ v
-            - 2.0 * v @ o2 @ o2
-            - 2.0 * o2 @ o2 @ v
-            + 3.0 * o2 @ v @ o2
-            - om2 * wm @ v @ wm
-            - 3.0 * v @ v @ o2
-            - 3.0 * o2 @ v @ v
-            - 3.0 * wm @ v @ v @ wm
-            - 9.0 * v @ o2 @ v
-            - 6.0 * v @ wm @ v @ wm
-            - 6.0 * wm @ v @ wm @ v
-            - 5.0 * om2 * v @ v
-            + 13.0 * float(np.trace(v @ o2)) * v
-        )
-        w = (
-            -2.0 * wm @ o2 @ o2
-            - 2.0 * v @ wm @ o2
-            + 2.0 * wm @ o2 @ v
-            + 7.0 * o2 @ v @ wm
-            + 4.0 * wm @ v @ o2
-            + 3.0 * wm @ v @ v
-            + 6.0 * v @ wm @ v
-            + 6.0 * v @ v @ wm
-        )
-        return QuadraticInvariant(t, w, u, "C3")
     raise ValueError(f"unknown invariant label {label!r}")
+
+
+def invariant_forms(cfg):
+    """The d independent invariants G_n = H (-M^2)^n, labelled G0 .. G{d-1}.
+
+    H = -J M is the symmetric Hamiltonian matrix of cfg.dynamics_matrix,
+    so this serves 1D, 2D and 3D traps alike. U, W and T are the rr, rp
+    and pp blocks of the symmetrised G_n; G0 is C1 exactly.
+    """
+    m = cfg.dynamics_matrix
+    d = m.shape[0] // 2
+    neg_m2 = -(m @ m)
+    g = np.vstack([-m[d:], m[:d]])
+    forms = []
+    for n in range(d):
+        gs = 0.5 * (g + g.T)
+        forms.append(QuadraticInvariant(gs[d:, d:], gs[:d, d:], gs[:d, :d], f"G{n}"))
+        g = g @ neg_m2
+    return forms
 
 
 class InvarianceResiduals(NamedTuple):
@@ -228,7 +210,7 @@ def trajectory_drift(inv, traj):
     evaluate_invariant is the per-point reference.
     """
     x = np.real(traj.states)
-    vals = 0.5 * np.einsum("ti,ij,tj->t", x, quadratic_form(inv), x)
+    vals = 0.5 * np.einsum("ti,ti->t", x @ quadratic_form(inv), x)
     return float(np.max(np.abs(vals - vals[0])) / (1.0 + abs(vals[0])))
 
 
@@ -317,14 +299,12 @@ def invariance_nullspace(cfg):
 
 
 def completed_third_invariant(cfg):
-    """Third 3D invariant, completed numerically from the null space.
+    """Third 3D invariant, completed blind from the null space.
 
-    The displayed closed form for the third invariant does not solve the
-    defining equations (its residuals are orders of magnitude above
-    rounding), so the basis is completed honestly: take the null space of
+    The independent route to G2 of invariant_forms: take the null space of
     the defining equations and extract its component orthogonal to the
-    span of C1 and C2_3D. The result is normalized to unit vector length
-    with a deterministic sign.
+    span of C1 and C2_3D. The result lies in span{G0, G1, G2} and is
+    normalized to unit vector length with a deterministic sign.
     """
     null_dim, basis, _ = invariance_nullspace(cfg)
     if null_dim != 3:

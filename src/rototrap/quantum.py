@@ -465,10 +465,9 @@ def wigner_decompose_into_invariants(wf, cfg):
 
     A stationary Wigner function can only depend on constants of motion,
     so its exponent must be a combination of the invariant quadratic
-    forms: C1 and C2 in the plane, C1, C2 and a third invariant in 3D. The
-    third comes from the completed null-space basis (see the invariants
-    module: the closed-form third expression fails its defining equations,
-    so the numerically completed invariant is used for span tests).
+    forms. In the plane the basis is (C1, C2_2D), where the closed-form
+    weights below apply; otherwise it is invariant_forms' G0 .. G{d-1},
+    in 3D the Hamiltonian H, H (-M^2) and the third invariant H (-M^2)^2.
 
     Returns least-squares coefficients and the relative residual; in the
     planar case the closed forms
@@ -482,18 +481,14 @@ def wigner_decompose_into_invariants(wf, cfg):
     the combination without that minus sign flips the overall sign, which
     is the one documented discrepancy against the source expressions.
     """
-    from .invariants import build_invariant, completed_third_invariant, quadratic_form
+    from .invariants import build_invariant, invariant_forms, quadratic_form
 
     w = np.asarray(wf.w if isinstance(wf, WignerForm) else wf, dtype=float)
     d = w.shape[0] // 2
     if d == 2:
         invs = [build_invariant("C1", cfg), build_invariant("C2_2D", cfg)]
     else:
-        invs = [
-            build_invariant("C1", cfg),
-            build_invariant("C2_3D", cfg),
-            completed_third_invariant(cfg),
-        ]
+        invs = invariant_forms(cfg)
     gs = [quadratic_form(iv) for iv in invs]
     a = np.column_stack([g.reshape(-1) for g in gs])
     coef, *_ = np.linalg.lstsq(a, w.reshape(-1), rcond=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
-from rototrap import make_config, region_map
+from rototrap import QuadraticInvariant, make_config, region_map
 
 # property tests draw the same examples on every run and keep no database.
 # Drawing a config builds its region map (about 50 ms), so the slow-draw
@@ -114,6 +114,52 @@ def sample_region_omegas(cfg, region, count, rng, margin=0.05):
         return []
     fracs = rng.uniform(margin, 1.0 - margin, size=count)
     return [omega_inside(lab, f) for f in fracs]
+
+
+def displayed_c3(cfg):
+    """The third invariant's closed form exactly as displayed, for a 3D config.
+
+    It does not solve the defining equations; the tests keep that on record.
+    """
+    v = cfg.v
+    wm = cfg.omega_matrix
+    o2 = wm @ wm
+    om2 = cfg.omega ** 2
+    trv = float(np.trace(v))
+    t = (
+        3.0 * v @ v
+        + 4.0 * o2 @ v
+        + 4.0 * v @ o2
+        + wm @ v @ wm
+        + 8.0 * om2 * v
+        - 13.0 * trv * (om2 * np.eye(3) - o2)
+    )
+    u = (
+        3.0 * v @ v @ v
+        - 2.0 * v @ o2 @ o2
+        - 2.0 * o2 @ o2 @ v
+        + 3.0 * o2 @ v @ o2
+        - om2 * wm @ v @ wm
+        - 3.0 * v @ v @ o2
+        - 3.0 * o2 @ v @ v
+        - 3.0 * wm @ v @ v @ wm
+        - 9.0 * v @ o2 @ v
+        - 6.0 * v @ wm @ v @ wm
+        - 6.0 * wm @ v @ wm @ v
+        - 5.0 * om2 * v @ v
+        + 13.0 * float(np.trace(v @ o2)) * v
+    )
+    w = (
+        -2.0 * wm @ o2 @ o2
+        - 2.0 * v @ wm @ o2
+        + 2.0 * wm @ o2 @ v
+        + 7.0 * o2 @ v @ wm
+        + 4.0 * wm @ v @ o2
+        + 3.0 * wm @ v @ v
+        + 6.0 * v @ wm @ v
+        + 6.0 * v @ v @ wm
+    )
+    return QuadraticInvariant(t, w, u, "C3_displayed")
 
 
 @st.composite

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rototrap import (
+    LinearTrap,
     QuadraticInvariant,
     UnstableConfig,
     WrongDimension,
@@ -17,6 +18,8 @@ from rototrap import (
     forced_evolve,
     invariance_nullspace,
     invariance_residuals,
+    invariant_forms,
+    line_trap,
     linear_flow,
     make_config,
     planar_trap,
@@ -27,9 +30,18 @@ from rototrap import (
     trajectory_drift,
     verify_config,
 )
+from rototrap.invariants import _vec_triple
 from rototrap.numerics import Trajectory, rk4_integrate
 
-from conftest import V123, fig1_config, fig2_config, fig3_config, hard_configs, random_config
+from conftest import (
+    V123,
+    displayed_c3,
+    fig1_config,
+    fig2_config,
+    fig3_config,
+    hard_configs,
+    random_config,
+)
 
 
 # -- construction ------------------------------------------------------------
@@ -118,13 +130,87 @@ def test_random_matrices_are_not_invariant(rng):
     assert invariance_residuals(inv, cfg).worst > 0.1
 
 
+def _span_gap(invs, other):
+    """Relative part of other's (T, U, W) vector outside span(invs)."""
+    a = np.column_stack([_vec_triple(g.t_mat, g.u_mat, g.w_mat) for g in invs])
+    vec = _vec_triple(other.t_mat, other.u_mat, other.w_mat)
+    coef, *_ = np.linalg.lstsq(a, vec, rcond=None)
+    return np.linalg.norm(vec - a @ coef) / np.linalg.norm(vec)
+
+
 def test_printed_third_form_fails_its_equations():
-    # the long displayed combination does not solve the defining equations;
-    # kept verbatim and reported rather than silently corrected
+    # the long displayed combination does not solve the defining equations,
+    # and most of it lies outside span{G0, G1, G2}: it is no typo to repair
     for cfg in (fig1_config(1.0), fig3_config(0.5)):
-        inv = build_invariant("C3", cfg)
+        inv = displayed_c3(cfg)
         res = invariance_residuals(inv, cfg)
         assert res.worst > 1.0
+        assert _span_gap(invariant_forms(cfg), inv) >= 0.5
+
+
+# -- the closed-form invariants H (-M^2)^n -----------------------------------
+
+def _vscale(cfg):
+    w = cfg.omega_matrix
+    return max(1.0, float(np.max(np.abs(cfg.v))), float(np.max(np.abs(w))) ** 2)
+
+
+def _check_forms(cfg):
+    """Properties every trap's forms share; returns (forms, vscale)."""
+    forms = invariant_forms(cfg)
+    m = cfg.dynamics_matrix
+    d = m.shape[0] // 2
+    vscale = _vscale(cfg)
+    j = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+    assert [g.label for g in forms] == [f"G{n}" for n in range(d)]
+    for n, g in enumerate(forms):
+        raw = -j @ m @ np.linalg.matrix_power(-(m @ m), n)
+        tol = 1e-12 * vscale ** (n + 1)
+        assert np.max(np.abs(raw - raw.T)) <= tol
+        assert np.max(np.abs(quadratic_form(g) - raw)) <= tol
+        assert invariance_residuals(g, cfg).worst <= tol
+    c1 = build_invariant("C1", cfg)
+    for a, b in ((c1.t_mat, forms[0].t_mat), (c1.w_mat, forms[0].w_mat), (c1.u_mat, forms[0].u_mat)):
+        assert np.array_equal(a, b)
+    return forms, vscale
+
+
+@settings(max_examples=40)
+@given(cfg=hard_configs())
+def test_forms_on_hard_configs(cfg):
+    forms, vscale = _check_forms(cfg)
+    c2 = build_invariant("C2_3D", cfg)
+    assert np.max(np.abs(quadratic_form(c2) - quadratic_form(forms[1]))) <= 1e-12 * vscale ** 2
+    # the blind completion is only as sharp as the gap below its null space;
+    # a tilt under 1e-4 leaves a fourth near-invariant within rounding of it
+    null_dim, _, sv = invariance_nullspace(cfg)
+    if null_dim == 3 and sv[-4] > 1e-6 * sv[0]:
+        assert _span_gap(forms, completed_third_invariant(cfg)) <= 1e-10
+
+
+def test_forms_on_planar_traps(rng):
+    # C2_2D = G1 - 3 Omega^2 G0
+    for _ in range(20):
+        vx, vy = rng.uniform(0.2, 4.0, size=2)
+        om = float(rng.uniform(0.0, 3.0))
+        trap = planar_trap(vx, vy, om)
+        forms, vscale = _check_forms(trap)
+        assert len(forms) == 2
+        c22 = quadratic_form(build_invariant("C2_2D", trap))
+        g0, g1 = (quadratic_form(g) for g in forms)
+        assert np.max(np.abs(c22 - (g1 - 3.0 * om * om * g0))) <= 1e-12 * vscale ** 2
+
+
+def test_forms_on_line_trap():
+    (g0,), _ = _check_forms(line_trap(2.0))
+    assert np.array_equal(quadratic_form(g0), np.diag([2.0, 1.0]))
+
+
+def test_forms_on_a_general_linear_trap(rng):
+    a = rng.standard_normal((2, 2))
+    trap = LinearTrap(a @ a.T + np.eye(2), np.array([[0.0, -0.7], [0.7, 0.0]]), 0.7)
+    forms, _ = _check_forms(trap)
+    assert len(forms) == 2
 
 
 # -- evaluation --------------------------------------------------------------
@@ -192,7 +278,7 @@ def test_drift_small_on_stable_trajectory():
 @settings(max_examples=40)
 @given(
     cfg=hard_configs(),
-    label=st.sampled_from(["C1", "C2_3D", "C3"]),
+    label=st.sampled_from(["C1", "C2_3D", "G1", "G2"]),
     seed=st.integers(0, 2**32 - 1),
     flowed=st.booleans(),
 )
@@ -201,7 +287,10 @@ def test_drift_matches_evaluate_invariant_loop(cfg, label, seed, flowed):
     # on a flowed trajectory or on arbitrary states; the tolerance scales
     # with the absolute-value form, the size of the rounding in C
     rng = np.random.default_rng(seed)
-    inv = build_invariant(label, cfg)
+    if label.startswith("G"):
+        inv = invariant_forms(cfg)[int(label[1])]
+    else:
+        inv = build_invariant(label, cfg)
     if flowed:
         m = cfg.dynamics_matrix
         traj = linear_flow(m, rng.standard_normal(6), 10.0, 0.05 / np.linalg.norm(m, 1))
@@ -270,14 +359,16 @@ def _energy_check(cfg):
 
 
 def _fig1_past_window(rel):
+    # rel > 0 is above the oscillatory window, rel < 0 below it
     cfg = fig1_config(1.0)
-    return cfg.with_omega(region_map(cfg).oscillatory[1] * (1.0 + rel))
+    lo, hi = region_map(cfg).oscillatory
+    return cfg.with_omega((hi if rel > 0 else lo) * (1.0 + rel))
 
 
-@pytest.mark.parametrize("rel", [1e-6, 1e-7])
+@pytest.mark.parametrize("rel", [1e-6, 1e-7, 1e-8, -1e-8])
 def test_verify_energy_sum_just_past_oscillatory_window(rel):
-    # two colliding modes carry large energies of opposite sign; their sum
-    # cancels down to H, so roundoff scales with the terms, not with H
+    # two colliding modes carry large energies of opposite sign; their sums
+    # cancel down to C_n, so roundoff scales with the terms, not with C_n
     cfg = _fig1_past_window(rel)
     dec = amplitude_energies(eigenmodes(cfg.dynamics_matrix), [1.0, 0.5, -0.3, 0.2, 1.1, -0.7])
     assert sum(abs(e) for e in dec.energies) > 500.0
@@ -301,6 +392,20 @@ def test_verify_energy_sum_catches_a_wrong_split(monkeypatch, damage, k):
 
     monkeypatch.setattr("rototrap.verify.amplitude_energies", broken)
     assert not _energy_check(_fig1_past_window(1e-6)).ok
+
+
+def test_verify_energy_sum_catches_energies_on_the_wrong_modes(monkeypatch):
+    # a rotation of the E_k keeps sum E_k = H, so only C_n with n >= 1,
+    # which weight E_k by omega_k^(2n), can see it
+    real = amplitude_energies
+
+    def rotated(modes, x):
+        dec = real(modes, x)
+        return dec._replace(energies=dec.energies[1:] + dec.energies[:1])
+
+    monkeypatch.setattr("rototrap.verify.amplitude_energies", rotated)
+    check = _energy_check(fig3_config(0.5))
+    assert not check.ok, check.detail
 
 
 # -- blind null-space solution -----------------------------------------------

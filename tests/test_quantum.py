@@ -583,6 +583,17 @@ def test_wigner_decompose_3d_span():
     assert dec.closed_form is None
 
 
+def test_wigner_decompose_line_trap():
+    # the static 1D ground state K = sqrt(v) has w = sqrt(2) G0
+    dec = wigner_decompose_into_invariants(
+        wigner_form(np.array([[np.sqrt(2.0)]], dtype=complex)), line_trap(2.0)
+    )
+    assert len(dec.coefficients) == 1
+    assert dec.coefficients[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert dec.residual <= 1e-12
+    assert dec.closed_form is None
+
+
 # -- GaussianState container -------------------------------------------------
 
 def test_gaussian_state_json_roundtrip():

@@ -9,9 +9,9 @@ from rototrap import (
     resonant_frequencies,
     verify_config,
 )
-from rototrap import quantum, verify
+from rototrap import invariants, quantum, verify
 
-from conftest import fig1_config
+from conftest import fig1_config, fig5_config
 
 # V = diag(1, 2, 3) tilted off every principal axis: both exponential edges
 # are finite, and the slowest mode freezes at each of them
@@ -52,6 +52,13 @@ def test_verify_drift_span_uncapped_away_from_edges():
     assert "capped" not in check.detail
 
 
+def test_verify_drift_scales_with_the_mode_terms():
+    # deep in S3 the terms omega_k^2 E_k of C_1 nearly cancel, so a drift
+    # relative to 1 + |C_1(x0)| read 2.3e-7 on a valid trap
+    check = _drift_check(verify_config(fig5_config(7.0)))
+    assert check.ok, check.detail
+
+
 def test_stable_verify_decomposes_m_twice(monkeypatch):
     # once in eigen_cubic_crosscheck, once for every stable-branch check
     calls = []
@@ -71,3 +78,33 @@ def test_stable_verify_decomposes_m_twice(monkeypatch):
 
 def test_classify_resonances_is_resonant_frequencies():
     assert classify_resonances is resonant_frequencies
+
+
+def test_stable_verify_solves_the_null_space_once(monkeypatch):
+    # the Wigner span check expands over H (-M^2)^n and needs no second SVD
+    calls = []
+    real = invariants.invariance_nullspace
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(verify, "invariance_nullspace", counted)
+    monkeypatch.setattr(invariants, "invariance_nullspace", counted)
+    report = verify_config(fig1_config(1.0))
+    assert report.ok
+    assert "wigner_invariant_span" in [c.name for c in report.checks]
+    assert len(calls) == 1
+
+
+def test_verify_drift_checks_all_three_invariants(monkeypatch):
+    labels = []
+    real = verify.trajectory_drift
+
+    def recorded(inv, traj):
+        labels.append(inv.label)
+        return real(inv, traj)
+
+    monkeypatch.setattr(verify, "trajectory_drift", recorded)
+    assert _drift_check(verify_config(fig1_config(1.0))).ok
+    assert labels == ["G0", "G1", "G2"]
