@@ -3,10 +3,10 @@
 Generic fixed-step RK4, which tests keep as the oracle of the fused
 steppers, the step grid and finite-prefix rule those steppers share, RK4's
 exact one-step map for linear systems, dense nonsymmetric
-eigendecomposition, positive-definiteness tests, small complex-matrix
-inversion and CSV number formatting. Fixed-step integration is deliberate:
-every system here is small and smooth, and reproducible CSV output matters
-more than adaptive speed.
+eigendecomposition, positive-definiteness tests, one guarded inverse for
+stacks of small complex matrices and CSV number formatting. Fixed-step
+integration is deliberate: every system here is small and smooth, and
+reproducible CSV output matters more than adaptive speed.
 """
 
 import numpy as np
@@ -379,63 +379,61 @@ def posdef_min_eig(s):
     return float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
 
 
-# cinv3's guards: a usable matrix has a finite condition number below
-# _COND_LIMIT and an identity residual ||M M^-1 - I|| of at most _INV_RESIDUAL
+# the inversion guard: a usable matrix has d kappa_1 below _COND_LIMIT and an
+# identity residual ||M M^-1 - I||_F of at most _INV_RESIDUAL
 _COND_LIMIT = 1e12
 _INV_RESIDUAL = 1e-10
 
 
 def cinv3(m):
-    """Inverse of a 3x3 (or smaller) complex matrix with conditioning guard.
+    """Inverse of a 3x3 (or smaller) complex matrix: cinv3_stack on one matrix.
 
-    Raises NearSingular when the condition number reaches 1e12 or the
-    identity residual ||M M^-1 - I|| fails to meet 1e-10.
+    NearSingular carries cinv3_stack's message, with ``index`` None.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] > 3:
         raise ValueError("cinv3 expects a square matrix up to 3x3")
     try:
-        cond = np.linalg.cond(m)
-    except np.linalg.LinAlgError as exc:
-        raise NearSingular(f"condition estimate failed: {exc}") from exc
-    if not np.isfinite(cond) or cond >= _COND_LIMIT:
-        raise NearSingular(f"condition number {cond:.3e} >= 1e12")
-    inv = np.linalg.inv(m)
-    res = np.linalg.norm(m @ inv - np.eye(m.shape[0]))
-    if res > _INV_RESIDUAL:
-        raise NearSingular(f"inverse residual {res:.3e} exceeds 1e-10")
-    return inv
+        return cinv3_stack(m[None])[0]
+    except NearSingular as exc:
+        raise NearSingular(str(exc)) from None
 
 
 def cinv3_stack(ms):
-    """Inverses of a stack of matrices, each under cinv3's guards.
+    """Inverses of an (n, d, d) stack, d <= 3, under the one inversion guard.
 
-    ``ms`` has shape (n, d, d) with d at most 3. The first matrix that
-    cinv3 would refuse raises NearSingular with the same message and its
-    position in the stack as ``index``; matrices after it are not inverted.
+    A matrix is refused when d kappa_1 reaches 1e12, kappa_1 =
+    ||M||_1 ||M^-1||_1 read off the inverse (kappa_2 <= d kappa_1, so no
+    matrix with an SVD condition number of 1e12 passes), or when
+    ||M M^-1 - I||_F exceeds 1e-10; a NaN fails both. The first matrix
+    refused raises NearSingular with its position as ``index``.
     """
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or ms.shape[1] > 3:
         raise ValueError("cinv3_stack expects a stack of square matrices up to 3x3")
+    d = ms.shape[1]
     try:
-        cond = np.linalg.cond(ms)
+        inv = np.linalg.inv(ms)
     except np.linalg.LinAlgError:
-        # the batched estimate does not say which matrix failed; cinv3 does
+        # an exactly singular matrix, unnamed by the batched call: from it
+        # on, the inverse is infinite, which the condition test refuses
+        inv = np.full_like(ms, np.inf)
         for i, m in enumerate(ms):
             try:
-                cinv3(m)
-            except NearSingular as exc:
-                raise NearSingular(str(exc), index=i) from exc
-        raise
-    bad_cond = ~(np.isfinite(cond) & (cond < _COND_LIMIT))
-    # inverses are only taken up to the first unusable matrix
-    n_ok = int(np.argmax(bad_cond)) if bad_cond.any() else len(ms)
-    inv = np.linalg.inv(ms[:n_ok])
-    res = np.linalg.norm(ms[:n_ok] @ inv - np.eye(ms.shape[1]), axis=(1, 2))
-    bad_res = res > _INV_RESIDUAL
-    if bad_res.any():
-        i = int(np.argmax(bad_res))
+                inv[i] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                break
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = d * np.linalg.norm(ms, 1, axis=(1, 2))
+        cond *= np.linalg.norm(inv, 1, axis=(1, 2))
+        eye_gap = ms @ inv
+        eye_gap -= np.eye(d)
+        res = np.linalg.norm(eye_gap, axis=(1, 2))
+    bad_cond = ~(cond < _COND_LIMIT)
+    bad = bad_cond | ~(res <= _INV_RESIDUAL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_cond[i]:
+            raise NearSingular(f"condition number {cond[i]:.3e} >= 1e12", index=i)
         raise NearSingular(f"inverse residual {res[i]:.3e} exceeds 1e-10", index=i)
-    if n_ok < len(ms):
-        raise NearSingular(f"condition number {cond[n_ok]:.3e} >= 1e12", index=n_ok)
     return inv

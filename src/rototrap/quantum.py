@@ -39,6 +39,7 @@ from .errors import (
     SingularModeMatrix,
     UnstableConfig,
 )
+from .invariants import build_invariant, invariant_forms, quadratic_form
 from .modes import eigenmodes, select_positive_signature_modes
 from .numerics import (
     _check_step_bound,
@@ -110,22 +111,23 @@ class GaussianState:
         return f"GaussianState(dim={self.dim})"
 
 
-def _k_array(k):
-    if isinstance(k, GaussianState):
-        return k.k
-    k = np.asarray(k, dtype=complex)
+def _k_matrix(k, dim=None, name="K"):
+    """K as a complex square array, of shape (dim, dim) when dim is given."""
+    k = k.k if isinstance(k, GaussianState) else np.asarray(k, dtype=complex)
+    if dim is not None and k.shape != (dim, dim):
+        raise ValueError(f"{name} has shape {k.shape}, the config needs {(dim, dim)}")
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("K must be a square matrix")
     return k
 
 
-def _k_for(k, cfg, name):
-    # K as a complex array of the config's (dim, dim) shape
-    k = k.k if isinstance(k, GaussianState) else np.asarray(k, dtype=complex)
-    d = cfg.dim
-    if k.shape != (d, d):
-        raise ValueError(f"{name} has shape {k.shape}, the config needs {(d, d)}")
-    return k
+def _normalizable(k):
+    """K and Re K of a state whose Re K is positive definite, else NotNormalizable."""
+    k = _k_matrix(k)
+    kr = np.real(k)
+    if posdef_min_eig(kr) <= 1e-10:
+        raise NotNormalizable("Re K is not positive definite")
+    return k, kr
 
 
 def riccati_rhs(k, cfg):
@@ -136,7 +138,7 @@ def riccati_rhs(k, cfg):
     beyond 1e-12 therefore flags a non-symmetric input. A K that is not
     (cfg.dim, cfg.dim) is a ValueError naming both shapes.
     """
-    k = _k_for(k, cfg, "K")
+    k = _k_matrix(k, cfg.dim)
     v = cfg.v
     w = cfg.omega_matrix
     out = -1j * (k @ k) + 1j * v - (w @ k - k @ w)
@@ -262,7 +264,7 @@ def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
     """
     # a non-finite K0 is reported as NonFiniteState by the run, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        k0 = GaussianState(_k_for(k0, cfg, "K0")).k
+        k0 = GaussianState(_k_matrix(k0, cfg.dim, "K0")).k
     d = cfg.dim
     m = cfg.dynamics_matrix
     _check_step_bound(dt, m)
@@ -410,10 +412,7 @@ def planar_stationary_K(vx, vy, vz, omega):
 
 def normalization_constant(k):
     """C = sqrt(det(Re K / sqrt(pi))) for a normalizable state."""
-    k = _k_array(k)
-    kr = np.real(k)
-    if posdef_min_eig(kr) <= 1e-10:
-        raise NotNormalizable("Re K is not positive definite")
+    k, kr = _normalizable(k)
     d = k.shape[0]
     return float(np.sqrt(np.linalg.det(kr) / np.pi ** (d / 2.0)))
 
@@ -438,11 +437,8 @@ def wigner_form(k):
     positive definite with det w = 2^{2d}: a pure Gaussian fills exactly
     one phase-space cell.
     """
-    k = _k_array(k)
-    kr = np.real(k)
+    k, kr = _normalizable(k)
     ki = np.imag(k)
-    if posdef_min_eig(kr) <= 1e-10:
-        raise NotNormalizable("Re K is not positive definite")
     kri = np.linalg.inv(kr)
     d = k.shape[0]
     w = np.zeros((2 * d, 2 * d))
@@ -481,8 +477,6 @@ def wigner_decompose_into_invariants(wf, cfg):
     the combination without that minus sign flips the overall sign, which
     is the one documented discrepancy against the source expressions.
     """
-    from .invariants import build_invariant, invariant_forms, quadratic_form
-
     w = np.asarray(wf.w if isinstance(wf, WignerForm) else wf, dtype=float)
     d = w.shape[0] // 2
     if d == 2:

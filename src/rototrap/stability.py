@@ -165,10 +165,14 @@ def classify_chi_roots(roots, tol):
 def _real_quadratic_roots(a, b, c):
     """Sorted roots of a x^2 + b x + c, a != 0, for x = Omega^2.
 
-    The one clamp of a discriminant at 0 against roundoff, for callers
-    whose roots are real in exact arithmetic.
+    For callers whose roots are real in exact arithmetic: b^2 - 4ac within
+    its rounding, 16 eps max(b^2, |4ac|), counts as 0, so an exact double
+    root stays double and roots closer than 1.2e-7 relative merge.
     """
-    s = np.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    disc = b * b - 4.0 * a * c
+    if disc < 16.0 * np.finfo(float).eps * max(b * b, abs(4.0 * a * c)):
+        disc = 0.0
+    s = np.sqrt(disc)
     return sorted([(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)])
 
 
@@ -182,8 +186,9 @@ def exponential_window(cfg):
     """Edges (Omega-, Omega+) of the exponential instability window.
 
     Omega+-^2 = (b -+ sqrt(b^2 - 4ac)) / (2a); the discriminant is
-    nonnegative for positive-definite V (clamped against roundoff), so the
-    edges are always real, collapsing to a point for an isotropic trap.
+    nonnegative for positive-definite V, so the edges are always real. For
+    V axisymmetric about the axis it is 0 and the window is the point
+    sqrt(v_perp); a window under about 6e-8 relative collapses likewise.
     """
     a, b, c = window_coeffs(cfg)
     om_minus_sq, om_plus_sq = _real_quadratic_roots(a, -b, c)

@@ -163,7 +163,7 @@ def verify_config(cfg):
         rep = resonant_frequencies(cfg, rmap)
         worst = 0.0
         for x in (rep.omega1_sq, rep.omega2_sq):
-            if x is None or x <= 0:
+            if x <= 0:
                 continue
             om = float(np.sqrt(x))
             biq = rc.d * om ** 4 + rc.e * om ** 2 + rc.f
@@ -206,11 +206,9 @@ def verify_config(cfg):
             rhs = riccati_rhs(state.k, cfg)
             resid = float(np.max(np.abs(rhs)))
             kscale = max(1.0, float(np.max(np.abs(state.k))))
-            ok = resid <= 1e-9 * kscale and state.re_min_eig() > 0
-            return ok, (
-                f"Riccati residual {resid:.3e}, "
-                f"min eig Re K {state.re_min_eig():.3e}"
-            )
+            min_eig = state.re_min_eig()
+            ok = resid <= 1e-9 * kscale and min_eig > 0
+            return ok, f"Riccati residual {resid:.3e}, min eig Re K {min_eig:.3e}"
 
         _run("stationary_riccati_residual", chk_stationary, checks)
 

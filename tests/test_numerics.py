@@ -420,6 +420,11 @@ def test_cinv3_near_singular():
     m = np.diag([1.0, 1.0, 1e-15])
     with pytest.raises(NearSingular):
         cinv3(m)
+    # an exactly singular matrix fails the batched inverse; the stack names it
+    ms = np.array([np.eye(3), np.eye(3), np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3))])
+    with pytest.raises(NearSingular, match="condition number inf >= 1e12") as info:
+        cinv3_stack(ms)
+    assert info.value.index == 2
 
 
 @settings(max_examples=60)
@@ -460,6 +465,63 @@ def test_cinv3_stack_matches_cinv3(seed, n, d, log_cond, poison):
     inv = cinv3_stack(ms)
     assert inv.shape == ms.shape
     assert np.max(np.abs(inv - np.array(ref))) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    d=st.integers(1, 3),
+    log_cond=st.floats(0.0, 16.0),
+    poison=st.sampled_from([None, "rank1", "nan", "tiny"]),
+)
+def test_cinv3_refuses_every_matrix_its_svd_oracle_refuses(seed, n, d, log_cond, poison):
+    # the guard reads d kappa_1 off the inverse; np.linalg.cond's kappa_2 is
+    # its oracle, and a matrix with kappa_2 >= 1e12, or a non-finite one,
+    # must be refused by cinv3 and by the stack at its own position
+    rng = np.random.default_rng(seed)
+    ms = []
+    for _ in range(n):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u, _, vh = np.linalg.svd(g)
+        sv = 10.0 ** -np.sort(rng.uniform(0.0, log_cond, d))
+        sv[0], sv[-1] = 1.0, 10.0 ** -log_cond
+        ms.append((u * sv) @ vh)
+    ms = np.array(ms)
+    if poison == "rank1":
+        ms[rng.integers(n)] = np.outer(ms[0, :, 0], ms[0, 0, :])
+    elif poison == "nan":
+        ms[rng.integers(n), rng.integers(d), rng.integers(d)] = np.nan
+    elif poison == "tiny":
+        ms[rng.integers(n)] = np.diag([1.0] * (d - 1) + [1e-15])
+    accepted = []
+    for m in ms:
+        try:
+            cinv3(m)
+            accepted.append(m)
+        except NearSingular as exc:
+            assert exc.index is None
+    for m in ms:
+        if np.isfinite(m).all() and np.linalg.cond(m) < 1e12:
+            continue
+        with pytest.raises(NearSingular) as info:
+            cinv3(m)
+        assert info.value.index is None
+        with pytest.raises(NearSingular) as info:
+            cinv3_stack(np.array(accepted + [m]))
+        assert info.value.index == len(accepted)
+
+
+def test_cinv3_refuses_below_the_svd_limit_when_d_kappa1_reaches_it():
+    # kappa_2 = kappa_1 = 5e11 < 1e12, but 3 kappa_1 = 1.5e12 is refused: the
+    # kappa_1 limit is never looser than kappa_2 >= 1e12, and here stricter
+    m = np.diag([1.0, 1.0, 2e-12])
+    assert np.linalg.cond(m) < 1e12
+    with pytest.raises(NearSingular, match=r"condition number 1\.500e\+12 >= 1e12"):
+        cinv3(m)
+    with pytest.raises(NearSingular) as info:
+        cinv3_stack(np.array([np.eye(3), m]))
+    assert info.value.index == 1
 
 
 def test_cinv3_stack_guards():

@@ -35,6 +35,7 @@ from conftest import (
     fig1_config,
     fig2_config,
     fig3_config,
+    random_axis,
     random_config,
     sample_region_omegas,
 )
@@ -180,12 +181,27 @@ def test_exponential_window_tilted_benchmark():
 
 
 def test_exponential_window_isotropic_collapses():
-    # b^2 - 4ac cancels to roundoff here, so the edges carry ~1e-8 noise
+    # b^2 - 4ac is 0 here; its rounding residue must not open a window
     cfg = make_config([2.0, 2.0, 2.0], [0.0, 0.0, 1.0], 0.5)
     lo, hi = exponential_window(cfg)
-    assert lo == pytest.approx(np.sqrt(2.0), abs=1e-7)
-    assert hi == pytest.approx(np.sqrt(2.0), abs=1e-7)
-    assert hi - lo < 1e-7
+    assert lo == hi
+    assert lo == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+def test_axisymmetric_window_collapses_to_a_boundary(rng):
+    # V axisymmetric about the axis n, V = I among them: the window is the
+    # point sqrt(v_perp), where the map reports a boundary, not I1
+    traps = [(np.eye(3), np.ones(3) / np.sqrt(3.0), 1.0)]
+    for _ in range(40):
+        n = random_axis(rng)
+        v_par, v_perp = rng.uniform(0.2, 5.0, 2)
+        traps.append((v_perp * np.eye(3) + (v_par - v_perp) * np.outer(n, n), n, v_perp))
+    for v, n, v_perp in traps:
+        cfg = make_config(v, n, 1.0)
+        lo, hi = exponential_window(cfg)
+        assert lo == hi
+        assert lo == pytest.approx(np.sqrt(v_perp), rel=1e-14)
+        assert region_map(cfg).locate(lo).boundary
 
 
 def test_planar_discriminant_nonnegative(rng):

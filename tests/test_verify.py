@@ -36,6 +36,14 @@ def test_verify_passes_next_to_an_exponential_edge(side):
     assert "span capped at 128 fast periods" in _drift_check(report).detail
 
 
+def test_verify_passes_on_an_axisymmetric_trap_at_its_collapsed_window():
+    # V = I rotated about (1, 1, 1): b^2 - 4ac is 0, and its rounding residue
+    # must not open an exponential window (2.6e-8 wide) around Omega = 1
+    cfg = make_config([1.0, 1.0, 1.0], [3.0 ** -0.5] * 3, 1.0)
+    report = verify_config(cfg)
+    assert report.ok, [c for c in report.checks if not c.ok]
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_verify_drift_run_stays_bounded_at_the_edge(side):
     # uncapped, 1e-8 from the edge the run would be about 1.3e8 steps
