@@ -132,8 +132,8 @@ def _build_parser():
     p.add_argument(
         "--method",
         choices=("direct", "linearized"),
-        default="direct",
-        help="Riccati integration route (with --riccati)",
+        default=None,
+        help="Riccati integration route (with --riccati; default direct)",
     )
     p.add_argument("--x0", type=_floats(6), default=None, metavar="X,Y,Z,PX,PY,PZ")
     p.add_argument(
@@ -234,13 +234,19 @@ def _cmd_evolve(cfg, args):
         raise InvalidConfig(f"--t-end must be a finite number >= 0, got {args.t_end}")
     if args.dt is not None and not 0.0 < args.dt < np.inf:
         raise InvalidConfig(f"--dt must be a finite number > 0, got {args.dt}")
+    # a flag of the other run kind would be dropped unread
+    other = ("--gravity", "--x0") if args.riccati else ("--method", "--k0")
+    for flag in other:
+        if getattr(args, flag[2:]) is not None:
+            kind = "--riccati" if args.riccati else "a classical run (no --riccati)"
+            raise InvalidConfig(f"{flag} does not apply to {kind}")
     dt = args.dt if args.dt is not None else default_forced_dt(cfg)
     if args.riccati:
         if args.k0 is not None:
             k0 = _load_k0(args.k0)
         else:
             k0 = stationary_K_from_modes(cfg)
-        traj = evolve_riccati(k0, cfg, args.t_end, dt, method=args.method)
+        traj = evolve_riccati(k0, cfg, args.t_end, dt, method=args.method or "direct")
         return traj.to_csv()
     g = args.gravity if args.gravity is not None else np.zeros(3)
     traj = forced_evolve(cfg, g, args.t_end, dt=dt, x0=args.x0)

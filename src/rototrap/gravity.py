@@ -162,8 +162,12 @@ def forced_evolve(cfg, g, t_end, dt=None, x0=None):
 
     The zero start isolates the driven particular solution from
     initial-condition transients; a given x0 must be a finite vector of
-    shape (6,). Runs RK4 as the linear_flow one-step map. Raises
-    StepTooLarge when dt ||M||_1 > 0.1, long before RK4 becomes inaccurate.
+    shape (6,). Runs RK4 as the linear_flow one-step map, with g(t) as its
+    drive (Omega, F): the rows of F, the momentum parts of the constant,
+    cos and sin terms, are g_par, g_perp and -n x g_perp, built here from
+    decompose_gravity and not from gravity_in_rotating_frame, which stays
+    the independent form of the same drive. Raises StepTooLarge when
+    dt ||M||_1 > 0.1, long before RK4 becomes inaccurate.
     """
     if dt is None:
         dt = default_forced_dt(cfg)
@@ -178,13 +182,9 @@ def forced_evolve(cfg, g, t_end, dt=None, x0=None):
             raise ValueError(f"x0 must have shape (6,), got shape {x0.shape}")
         if not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 has non-finite entries: {x0.tolist()}")
-
-    def forcing(ts):
-        f = np.zeros((len(ts), 6))
-        f[:, 3:] = gravity_in_rotating_frame(dg, cfg.omega, ts)
-        return f
-
-    return linear_flow(m, x0, t_end, dt, forcing=forcing)
+    f = np.zeros((3, 6))
+    f[:, 3:] = dg.g_par, dg.g_perp, -np.cross(dg.axis, dg.g_perp)
+    return linear_flow(m, x0, t_end, dt, drive=(cfg.omega, f))
 
 
 def _linfit(x, y):

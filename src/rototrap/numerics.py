@@ -2,7 +2,8 @@
 
 Generic fixed-step RK4, which tests keep as the oracle of the fused
 steppers, the step grid and finite-prefix rule those steppers share, RK4's
-exact one-step map for linear systems, dense nonsymmetric
+exact one-step map for linear systems (a constant-plus-harmonic drive
+carried in the state, so every such run is homogeneous), dense nonsymmetric
 eigendecomposition, positive-definiteness tests, one guarded inverse for
 stacks of small complex matrices and CSV number formatting. Fixed-step
 integration is deliberate: every system here is small and smooth, and
@@ -174,68 +175,54 @@ def _step_runs(dt, t_end):
     """The steps of a fixed-step run from t = 0 to t_end, as rk4_integrate takes them.
 
     Returns the runs (lo, hi, h) of equal steps (steps lo..hi-1 have size
-    h), the step sizes, and the n + 1 times, accumulated as t = t + h so
-    they are bit-identical to rk4_integrate's.
+    h) and the n + 1 times, accumulated as t = t + h so they are
+    bit-identical to rk4_integrate's.
     """
     n_full, ragged = _step_count(dt, 0.0, float(t_end))
     runs = [(0, n_full, float(dt))]
     if ragged is not None:
         runs.append((n_full, n_full + 1, ragged))
     hs = np.concatenate([np.full(hi - lo, h) for lo, hi, h in runs])
-    return runs, hs, np.add.accumulate(np.concatenate([[0.0], hs]))
+    return runs, np.add.accumulate(np.concatenate([[0.0], hs]))
 
 
-def _rk4_step_map(m, h):
-    """R(hM) and (B0, B_half, B1) of one RK4 step of size h on y' = M y + f."""
+def _rotation(phi):
+    """E with (1, cos(w t + phi), sin(w t + phi)) = E (1, cos w t, sin w t)."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _rk4_step_map(m, h, drive=None):
+    """The matrix of one RK4 step of size h on y' = M y, or on the driven state.
+
+    Undriven, it is R(hM). With drive = (w, F), the step acts on (y, u),
+    u(t) = (1, cos w t, sin w t), as [[R, Q], [0, E(h)]] with
+    Q = B0 F^T + B_half F^T E(h/2) + B1 F^T E(h).
+    """
     a = h * m
     eye = np.eye(len(m))
     a2 = a @ a
     a3 = a2 @ a
     r = eye + a + a2 / 2.0 + a3 / 6.0 + a3 @ a / 24.0
+    if drive is None:
+        return r
+    omega, f = drive
     c = h / 6.0
-    bs = (
-        c * (eye + a + a2 / 2.0 + a3 / 4.0),
-        c * (4.0 * eye + 2.0 * a + a2 / 2.0),
-        c * eye,
-    )
-    return r, bs
+    ft = f.T
+    e_half = _rotation(0.5 * omega * h)
+    e = _rotation(omega * h)
+    q = c * (eye + a + a2 / 2.0 + a3 / 4.0) @ ft
+    q += c * (4.0 * eye + 2.0 * a + a2 / 2.0) @ ft @ e_half
+    q += c * ft @ e
+    return np.block([[r, q], [np.zeros((3, len(m))), e]])
 
 
-# steps that linear_flow writes per numpy call, and blocks per chunk of its
-# forcing recurrence; fixed, so a state's bits depend on its step index alone
+# steps that linear_flow writes per numpy call; fixed, so a state's bits
+# depend on its step index alone
 _BLOCK = 64
-_GROUP = 16
-_CHUNK = _BLOCK * _GROUP
 
 
-def _chunk_particular(f, r, bs, starts, n_steps):
-    """P_1..P_B of each block of one chunk of steps, from zero at its start.
-
-    Step i of the chunk (i < n_steps) takes f at rows starts[0] + i,
-    starts[1] + i and starts[2] + i, its start, midpoint and end, with the
-    matrices bs. Returns part of shape (d, B, G, w), part[:, j, g] = P_{j+1}
-    of block g. P comes from the forward recurrence P_{j+1} = R P_j + inc_j,
-    so a non-finite f poisons no P before its step.
-    """
-    d, w = f.shape[1:]
-    stage = np.zeros((d, _BLOCK, _GROUP, w), dtype=f.dtype)
-    by_step = stage.transpose(2, 1, 0, 3)  # [g, j] is step g B + j of the chunk
-    n_full, rem = divmod(n_steps, _BLOCK)
-    part = np.zeros_like(stage)
-    for b, start in zip(bs, starts):
-        rows = f[start: start + n_steps]
-        by_step[:n_full] = rows[: n_full * _BLOCK].reshape(n_full, _BLOCK, d, w)
-        if rem:
-            by_step[n_full, :rem] = rows[n_full * _BLOCK:]
-        part += (b @ stage.reshape(d, -1)).reshape(part.shape)
-    flat = part.reshape(d, _BLOCK, -1)
-    # rows past the chunk's last step feed only the slack states
-    for j in range(1, min(_BLOCK, n_steps)):
-        flat[:, j] += r @ flat[:, j - 1]
-    return part
-
-
-def linear_flow(m, y0, t_end, dt, forcing=None):
+def linear_flow(m, y0, t_end, dt, drive=None):
     """Integrate dy/dt = M y + f(t) with RK4 taken as its exact one-step map.
 
     On a linear system one classical RK4 step of size h is the affine map
@@ -244,25 +231,27 @@ def linear_flow(m, y0, t_end, dt, forcing=None):
 
     with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4 stability function
     and, for A = hM, B0 = h/6 (I + A + A^2/2 + A^3/4),
-    B_half = h/6 (4I + 2A + A^2/2) and B1 = h/6 I. The matrices are built
-    once per step size, and the steps are taken a block of B = 64 at a time.
-    A block's states are R^j y_start + P_j for j = 1..B, where y_start is
-    the last state of the block before and P_j the j-step particular
-    solution from zero at the block start; one stacked product with
-    R^1..R^B writes them all. The P_j of each chunk of 16 blocks come from
-    the forward recurrence P_j = R P_{j-1} + inc_{j-1}, each of its B steps
-    one product over all the chunk's blocks, so a non-finite forcing poisons
-    no state before its step. Blocks and chunks start at fixed step indices
-    and every product has the same shape in every run, so a run cut short
-    repeats the longer run's states bit for bit.
+    B_half = h/6 (4I + 2A + A^2/2) and B1 = h/6 I. The steps are taken a
+    block of B = 64 at a time: a block's states are S^j z_start for
+    j = 1..B, one stacked product with the powers S^1..S^B, which are built
+    once per step size.
+
+    Undriven, f = 0, S = R(hM) and z_start is the block's first state.
+    ``drive = (w, F)``, with F a real (3, n) array, is the drive
+    f(t) = F^T u(t), u(t) = (1, cos w t, sin w t). Since u(t + s) =
+    E(s) u(t) for a rotation E, the driven run is homogeneous in (y, u):
+    S = [[R, Q], [0, E(h)]] with Q = B0 F^T + B_half F^T E(h/2) +
+    B1 F^T E(h), and z_start is the block's first state with u set to its
+    exact value at the block's start time, so the drive's phase does not
+    drift over a long run. Blocks start at fixed step indices and every
+    product has the same shape in every run, so a run cut short repeats
+    the longer run's states bit for bit.
 
     The run starts at t = 0. Steps, times (accumulated as t = t + h), the
     ValueError guards and the NonFiniteState prefix are those of
     rk4_integrate; the states differ from it by rounding only. ``y0`` is a
-    length-n vector or an (n, k) block of columns, real or complex.
-    ``forcing``, if given, maps a 1-D array of times to an array of shape
-    (len(times),) + y0.shape; it is called once per run, on every step end
-    and midpoint.
+    length-n vector or an (n, k) block of columns, real or complex; a
+    driven run takes a real vector only.
     """
     m = np.asarray(m)
     y = np.asarray(y0)
@@ -273,18 +262,20 @@ def linear_flow(m, y0, t_end, dt, forcing=None):
             f"linear_flow needs an (n, n) matrix and a state of n rows, "
             f"got {m.shape} and {y.shape}"
         )
-    runs, hs, times = _step_runs(dt, t_end)
-    n = len(hs)
-
-    f = None
-    if forcing is not None:
-        f = np.asarray(forcing(np.concatenate([times, times[:-1] + 0.5 * hs])))
-        if f.shape != (2 * n + 1,) + y.shape:
-            raise ValueError(
-                f"forcing returned shape {f.shape}, expected {(2 * n + 1,) + y.shape}"
-            )
-    dtype = np.result_type(y, m) if f is None else np.result_type(y, m, f)
+    dtype = np.result_type(y, m)
     d = len(y)
+    if drive is not None:
+        omega, f = float(drive[0]), np.asarray(drive[1])
+        if y.ndim != 1 or dtype.kind == "c" or f.dtype.kind == "c":
+            raise ValueError("a driven linear_flow needs a real vector state, matrix and F")
+        if f.shape != (3, d):
+            raise ValueError(f"drive F must have shape {(3, d)}, got {f.shape}")
+        f = f.astype(float)
+        if not (np.isfinite(omega) and np.isfinite(f).all()):
+            raise ValueError("drive frequency and F must be finite")
+        drive = (omega, f)
+    runs, times = _step_runs(dt, t_end)
+    n = len(times) - 1
     # one block of slack rows: every block is computed whole, so a state's
     # bits never depend on where the run ends
     states = np.empty((n + 1 + _BLOCK,) + y.shape, dtype=dtype)
@@ -292,30 +283,26 @@ def linear_flow(m, y0, t_end, dt, forcing=None):
     # each state as a (d, w) block of columns; a real R acts on the real and
     # imaginary parts alike, so complex states are stepped as their real view
     cols = states.reshape(len(states), d, -1)
-    if f is not None:
-        f = np.ascontiguousarray(f, dtype=dtype).reshape(2 * n + 1, d, -1)
     if dtype.kind == "c" and m.dtype.kind != "c":
         cols = cols.view(np.finfo(dtype).dtype)
-        f = None if f is None else f.view(cols.dtype)
     w = cols.shape[2]
     # an overflowing run is reported below as NonFiniteState, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, h in runs:
-            r, bs = _rk4_step_map(m, h)
-            # R^1..R^B stacked as a (B d, d) matrix, by doubling
-            pows = r[None]
+            step = _rk4_step_map(m, h, drive)
+            # the state rows of S^1..S^B stacked as a (B d, len(S)) matrix,
+            # by doubling
+            pows = step[None]
             while len(pows) < _BLOCK:
                 pows = np.concatenate([pows, pows @ pows[-1]])
-            pows = pows[:_BLOCK].reshape(-1, d)
-            for c0 in range(lo, hi, _CHUNK):
-                c1 = min(c0 + _CHUNK, hi)
-                if f is not None:
-                    part = _chunk_particular(f, r, bs, (c0, n + 1 + c0, c0 + 1), c1 - c0)
-                for g, s in enumerate(range(c0, c1, _BLOCK)):
-                    block = cols[s + 1: s + 1 + _BLOCK]
-                    np.matmul(pows, cols[s], out=block.reshape(-1, w))
-                    if f is not None:
-                        block += part[:, :, g].transpose(1, 0, 2)
+            pows = pows[:_BLOCK, :d].reshape(-1, len(step))
+            for s in range(lo, hi, _BLOCK):
+                start = cols[s]
+                if drive is not None:
+                    wt = drive[0] * times[s]
+                    start = np.concatenate([start, [[1.0], [np.cos(wt)], [np.sin(wt)]]])
+                block = cols[s + 1: s + 1 + _BLOCK]
+                np.matmul(pows, start, out=block.reshape(-1, w))
     return _finite_trajectory(times, states[: n + 1])
 
 

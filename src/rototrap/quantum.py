@@ -181,7 +181,7 @@ def _direct_flow(k0, cfg, t_end, dt):
             v33 - 1j * (c * c + e * e + f * f) + 2.0 * (w13 * c + w23 * e),
         )
 
-    runs, _, times = _step_runs(dt, t_end)
+    runs, times = _step_runs(dt, t_end)
     buf = np.empty((len(times), 6), dtype=complex)
     k = np.zeros((3, 3), dtype=complex)
     k[:dim, :dim] = k0

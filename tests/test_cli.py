@@ -457,6 +457,29 @@ def test_evolve_bad_input_is_config_error(capsys, tmp_path, args):
     assert last_error_json(err)["error"] == "InvalidConfig"
 
 
+@pytest.mark.parametrize(
+    "flag, args",
+    [
+        ("--gravity", ["--riccati", "--gravity", "0,0,-1"]),
+        ("--x0", ["--riccati", "--x0", "1,0,0,0,0,0"]),
+        ("--method", ["--method", "direct"]),
+        ("--method", ["--method", "linearized", "--gravity", "0,0,-1"]),
+        ("--k0", ["--k0", "missing", "--gravity", "0,0,-1"]),
+    ],
+    ids=["riccati-gravity", "riccati-x0", "method", "method-gravity", "k0-gravity"],
+)
+def test_evolve_flag_of_the_other_run_kind_is_usage_error(capsys, tmp_path, flag, args):
+    # each flag belongs to one run kind; given to the other, it used to be
+    # dropped unread (the missing K0 file was never opened)
+    args = [str(tmp_path / a) if a == "missing" else a for a in args]
+    code, out, err = run_cli(capsys, "evolve", "fig2", "--t-end", "0.1", *args)
+    assert code == 1
+    assert out == ""
+    obj = last_error_json(err)
+    assert obj["error"] == "InvalidConfig"
+    assert obj["message"].startswith(flag + " does not apply")
+
+
 # -- verify ------------------------------------------------------------------
 
 def test_verify_passes_on_all_fixtures(capsys):

@@ -235,17 +235,21 @@ def test_axial_gravity_stays_bounded():
 
 
 @pytest.mark.parametrize(
-    "x0", [None, [0.1, 0.0, -0.2, 0.3, 0.0, 0.05]], ids=["rest", "moving"]
+    "x0, periods",
+    [(None, 3), ([0.1, 0.0, -0.2, 0.3, 0.0, 0.05], 3), (None, 14)],
+    ids=["rest", "moving", "long"],
 )
-def test_forced_evolve_matches_public_drive_route(x0):
+def test_forced_evolve_matches_public_drive_route(x0, periods):
     # forced_evolve must step what RK4 gives on a right-hand side built from
     # the public gravity_in_rotating_frame: the same times bit for bit, and
-    # states equal up to the rounding of the one-step map (measured 1.4e-14
-    # relative); a misplaced midpoint or a flipped whirl misses by far more
+    # states equal up to the rounding of the one-step map (measured 7.3e-14
+    # relative over the 5,008 steps of the long case); a misplaced midpoint,
+    # a flipped whirl or a drive phase left to drift over the long case
+    # (1.3e-12) misses by more
     base = make_config(V123, tilted_axis(0.35), 0.5)
     cfg = base.with_omega(resonant_frequencies(base).omega2)
     g = np.array([np.cos(0.35), 0.0, -np.sin(0.35)])
-    t_end = 3.0 * 2.0 * np.pi / cfg.omega
+    t_end = periods * 2.0 * np.pi / cfg.omega
     dt = default_forced_dt(cfg)
     m = cfg.dynamics_matrix
     dg = decompose_gravity(g, cfg.axis)
@@ -258,6 +262,7 @@ def test_forced_evolve_matches_public_drive_route(x0):
     y0 = np.zeros(6) if x0 is None else np.asarray(x0, dtype=float)
     ref = rk4_integrate(rhs, y0, t_end, dt)
     traj = forced_evolve(cfg, g, t_end, dt=dt, x0=x0)
+    assert len(ref) > (5000 if periods > 3 else 1000)
     assert np.array_equal(traj.times, ref.times)
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
 

@@ -130,68 +130,51 @@ def test_rk4_nonfinite_carries_partial_trajectory():
 
 # -- linear_flow against the generic stepper ---------------------------------
 
-def _harmonic_forcing(rng, shape, dtype):
-    """f(t) = a cos(w t) + b sin(w t) + c for random a, b, c of a state's shape."""
-    def draw():
-        x = rng.standard_normal(shape)
-        return x + 1j * rng.standard_normal(shape) if dtype == complex else x
+def _harmonic_drive(rng, n):
+    """(w, F) of the drive f(t) = c + a cos(w t) + b sin(w t), F = [c, a, b] random."""
+    return float(rng.uniform(0.1, 3.0)), rng.standard_normal((3, n))
 
-    a, b, c = draw(), draw(), draw()
-    w = float(rng.uniform(0.1, 3.0))
-    expand = (slice(None),) + (None,) * len(shape)
 
-    def forcing(ts):
-        wt = w * np.asarray(ts, dtype=float)[expand]
-        return a * np.cos(wt) + b * np.sin(wt) + c
+def _rk4_rhs(m, drive):
+    def rhs(t, y):
+        out = m @ y
+        if drive is None:
+            return out
+        w, f = drive
+        return out + f[0] + f[1] * np.cos(w * t) + f[2] * np.sin(w * t)
 
-    return forcing
+    return rhs
 
 
 @settings(max_examples=40)
 @given(
     cfg=hard_configs(),
     seed=st.integers(0, 2**32 - 1),
-    block=st.booleans(),
-    forced=st.booleans(),
+    kind=st.sampled_from(["block", "vector", "forced"]),
     steps=st.integers(1, 120),
     ragged=st.floats(0.05, 0.95),
     courant=st.floats(0.01, 0.1),
 )
-def test_linear_flow_matches_rk4(cfg, seed, block, forced, steps, ragged, courant):
-    # (6,) real or (6,3) complex, homogeneous or forced, stable or unstable,
-    # always with a ragged last step: same times bit for bit, states equal
-    # up to the rounding of the one-step map
+def test_linear_flow_matches_rk4(cfg, seed, kind, steps, ragged, courant):
+    # homogeneous (6,) real or (6,3) complex, or a forced (6,) real vector,
+    # stable or unstable, always with a ragged last step: same times bit for
+    # bit, states equal up to the rounding of the one-step map
     rng = np.random.default_rng(seed)
     m = cfg.dynamics_matrix
     dt = courant / np.linalg.norm(m, 1)
     t_end = (steps + ragged) * dt
-    if block:
-        shape, dtype = (6, 3), complex
-        y0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "block":
+        y0 = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     else:
-        shape, dtype = (6,), float
-        y0 = rng.standard_normal(shape)
-    forcing = _harmonic_forcing(rng, shape, dtype) if forced else None
-
-    def rhs(t, y):
-        out = m @ y
-        return out if forcing is None else out + forcing(np.array([t]))[0]
-
-    ref = rk4_integrate(rhs, y0, t_end, dt)
-    traj = linear_flow(m, y0, t_end, dt, forcing=forcing)
+        y0 = rng.standard_normal(6)
+    drive = _harmonic_drive(rng, 6) if kind == "forced" else None
+    ref = rk4_integrate(_rk4_rhs(m, drive), y0, t_end, dt)
+    traj = linear_flow(m, y0, t_end, dt, drive=drive)
     assert len(ref) == steps + 2
     assert np.array_equal(traj.times, ref.times)
     assert traj.states.shape == ref.states.shape
     assert traj.states.dtype == ref.states.dtype
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
-
-
-def _rk4_rhs(m, forcing):
-    def rhs(t, y):
-        out = m @ y
-        return out if forcing is None else out + forcing(np.array([t]))[0]
-
-    return rhs
 
 
 _B = numerics._BLOCK
@@ -211,12 +194,12 @@ def test_linear_flow_across_block_edges_matches_rk4(steps, omega, region, forced
     t_end = (steps + 0.4) * dt
     if forced:
         y0 = rng.standard_normal(6)
-        forcing = _harmonic_forcing(rng, (6,), float)
+        drive = _harmonic_drive(rng, 6)
     else:
         y0 = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        forcing = None
-    ref = rk4_integrate(_rk4_rhs(m, forcing), y0, t_end, dt)
-    traj = linear_flow(m, y0, t_end, dt, forcing=forcing)
+        drive = None
+    ref = rk4_integrate(_rk4_rhs(m, drive), y0, t_end, dt)
+    traj = linear_flow(m, y0, t_end, dt, drive=drive)
     assert len(ref) == steps + 2
     assert np.array_equal(traj.times, ref.times)
     assert traj.states.shape == ref.states.shape
@@ -224,42 +207,16 @@ def test_linear_flow_across_block_edges_matches_rk4(steps, omega, region, forced
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
 
 
-@pytest.mark.parametrize("first_bad", [_B - 1, _B, _B + 1], ids=["before_edge", "on_edge", "after_edge"])
-@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
-def test_linear_flow_nan_forcing_near_a_block_edge_gives_rk4_prefix(first_bad, block):
-    # f turns NaN just after t_k for k = first_bad, so step k is the first
-    # step that reads it and state k + 1 the first non-finite state
-    m = fig1_config(0.9).dynamics_matrix
-    dt = 0.01
-    y0 = np.ones((6, 3) if block else 6)
-
-    def forcing(ts):
-        ts = np.asarray(ts, dtype=float)
-        bad = np.where(ts > (first_bad + 0.25) * dt, np.nan, 0.0)
-        return bad.reshape(ts.shape + (1,) * y0.ndim) + np.ones(y0.shape)
-
-    with pytest.raises(NonFiniteState) as ref_info:
-        rk4_integrate(_rk4_rhs(m, forcing), y0, (first_bad + 10) * dt, dt)
-    with pytest.raises(NonFiniteState) as info:
-        linear_flow(m, y0, (first_bad + 10) * dt, dt, forcing=forcing)
-    ref, traj = ref_info.value.trajectory, info.value.trajectory
-    assert len(ref) == first_bad + 1
-    assert str(info.value) == str(ref_info.value)
-    assert np.array_equal(traj.times, ref.times)
-    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
-
-
 def test_linear_flow_cut_short_repeats_forced_states_bit_for_bit():
-    # across block edges and the first edge of the forcing recurrence's chunks
-    chunk = numerics._CHUNK
+    # across the first block edges and past 16 of them
     m = fig1_config(0.9).dynamics_matrix
     rng = np.random.default_rng(7)
     y0 = rng.standard_normal(6)
-    forcing = _harmonic_forcing(rng, (6,), float)
+    drive = _harmonic_drive(rng, 6)
     dt = 0.01
-    full = linear_flow(m, y0, (chunk + 2 * _B) * dt, dt, forcing=forcing)
-    for steps in (1, _B - 1, _B, _B + 1, 1000, chunk - 1, chunk, chunk + 1):
-        short = linear_flow(m, y0, (steps + 0.5) * dt, dt, forcing=forcing)
+    full = linear_flow(m, y0, 18 * _B * dt, dt, drive=drive)
+    for steps in (1, _B - 1, _B, _B + 1, 1000, 16 * _B - 1, 16 * _B, 16 * _B + 1):
+        short = linear_flow(m, y0, (steps + 0.5) * dt, dt, drive=drive)
         assert len(short) == steps + 2
         assert np.array_equal(short.times[:-1], full.times[: steps + 1])
         assert np.array_equal(short.states[:-1], full.states[: steps + 1])
@@ -284,8 +241,23 @@ def test_linear_flow_guards():
         linear_flow(m, y0, -1.0, 0.1)
     with pytest.raises(ValueError):
         linear_flow(m, np.ones(5), 1.0, 0.1)
-    with pytest.raises(ValueError):
-        linear_flow(m, y0, 1.0, 0.1, forcing=lambda ts: np.zeros((len(ts), 3)))
+    # a drive needs a finite w and a finite real F of shape (3, n), and a
+    # real vector state
+    f = np.ones((3, 6))
+    bad_drives = [
+        (y0, (np.nan, f)),
+        (y0, (np.inf, f)),
+        (y0, (1.0, np.where(np.eye(3, 6) > 0, np.nan, 1.0))),
+        (y0, (1.0, np.ones((6, 3)))),
+        (y0, (1.0, np.ones((3, 5)))),
+        (y0, (1.0, np.ones(6))),
+        (y0, (1.0, f + 1j)),
+        (y0 + 0j, (1.0, f)),
+        (np.ones((6, 2)), (1.0, f)),
+    ]
+    for y, drive in bad_drives:
+        with pytest.raises(ValueError):
+            linear_flow(m, y, 1.0, 0.1, drive=drive)
 
 
 # every fixed-step entry point, called as (t_end, dt) on fig1 at Omega = 0.9
@@ -319,43 +291,19 @@ def test_non_finite_time_span_is_value_error(entry, t_end, dt, message):
         _FIXED_STEP_RUNS[entry](t_end, dt)
 
 
-@pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
-def test_linear_flow_nonfinite_prefix_matches_rk4(block):
-    # a forcing that turns NaN from t = 0.5 on poisons the same step in both
-    # routes, so both must report the same finite prefix
-    m = fig1_config(0.9).dynamics_matrix
-    y0 = np.ones((6, 3) if block else 6)
-
-    def forcing(ts):
-        ts = np.asarray(ts, dtype=float)
-        bad = np.where(ts >= 0.5, np.nan, 0.0)
-        return bad.reshape(ts.shape + (1,) * y0.ndim) + np.ones(y0.shape)
-
-    def rhs(t, y):
-        return m @ y + forcing(np.array([t]))[0]
-
-    with pytest.raises(NonFiniteState) as ref_info:
-        rk4_integrate(rhs, y0, 1.0, 0.03)
-    with pytest.raises(NonFiniteState) as info:
-        linear_flow(m, y0, 1.0, 0.03, forcing=forcing)
-    ref, traj = ref_info.value.trajectory, info.value.trajectory
-    assert str(info.value) == str(ref_info.value)
-    assert np.array_equal(traj.times, ref.times)
-    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
-
-
 def test_linear_flow_overflow_carries_finite_prefix():
     m = 50.0 * np.eye(6)
-    with pytest.raises(NonFiniteState) as info:
-        linear_flow(m, np.ones(6), 100.0, 1e-3)
-    traj = info.value.trajectory
-    assert len(traj) > 1 and np.all(np.isfinite(traj.states))
-    assert traj.states[-1, 0] > 1e300
-    # its full steps are exactly those of a run stopped before the overflow
-    again = linear_flow(m, np.ones(6), traj.times[-1] - 0.5e-3, 1e-3)
-    assert len(again) == len(traj)
-    assert np.array_equal(again.times[:-1], traj.times[:-1])
-    assert np.array_equal(again.states[:-1], traj.states[:-1])
+    for drive in (None, (2.0, np.ones((3, 6)))):
+        with pytest.raises(NonFiniteState) as info:
+            linear_flow(m, np.ones(6), 100.0, 1e-3, drive=drive)
+        traj = info.value.trajectory
+        assert len(traj) > 1 and np.all(np.isfinite(traj.states))
+        assert traj.states[-1, 0] > 1e300
+        # its full steps are exactly those of a run stopped before the overflow
+        again = linear_flow(m, np.ones(6), traj.times[-1] - 0.5e-3, 1e-3, drive=drive)
+        assert len(again) == len(traj)
+        assert np.array_equal(again.times[:-1], traj.times[:-1])
+        assert np.array_equal(again.states[:-1], traj.states[:-1])
 
 
 def test_eig_diag_and_rotation_generator():
