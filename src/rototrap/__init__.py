@@ -96,6 +96,7 @@ from .numerics import (
     OmegaRange,
     Trajectory,
     cinv3,
+    cinv3_stack,
     eig_general,
     fmt17,
     linear_flow,

@@ -277,9 +277,12 @@ _DISPATCH = {
 def _write_output(text, output):
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write output: {exc}") from exc
 
 
 def main(argv=None):
@@ -289,13 +292,12 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         cfg = _load_config(args.config)
-        text = _DISPATCH[args.command](cfg, args)
+        _write_output(_DISPATCH[args.command](cfg, args), args.output)
     except RototrapError as exc:
         extra = {}
         if isinstance(exc, InvalidConfig) and exc.errors:
             extra["errors"] = exc.errors
         _print_error_json(exc.code, str(exc), **extra)
         return exc.exit_code
-    _write_output(text, args.output)
     return 0
 

@@ -7,6 +7,41 @@ which is what the CLI prints in its machine-readable error output.
 """
 
 
+__all__ = [
+    "RototrapError",
+    "ConfigError",
+    "NumericError",
+    "VerificationError",
+    "InvalidConfig",
+    "NonSymmetricPotential",
+    "NonPositivePotential",
+    "ZeroAxis",
+    "NegativeOmega",
+    "WrongDimension",
+    "OddPowersPresent",
+    "AmbiguousClassification",
+    "BracketTooSmall",
+    "DefectiveMatrix",
+    "DegenerateModeVector",
+    "DegenerateFrequencies",
+    "DegenerateD",
+    "StepTooLarge",
+    "NonFiniteState",
+    "SingularD",
+    "SingularModeMatrix",
+    "InInstabilityRegion",
+    "NoValidRoot",
+    "ComplexKappa",
+    "NotNormalizable",
+    "NotInSpan",
+    "UnstableConfig",
+    "InsufficientSpan",
+    "ConvergenceFailure",
+    "NotSymmetric",
+    "NearSingular",
+]
+
+
 class RototrapError(Exception):
     """Base class for all errors raised by this package."""
 

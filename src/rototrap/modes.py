@@ -22,12 +22,14 @@ from .numerics import eig_general
 __all__ = [
     "ModeVector",
     "ModeSet",
+    "PlanarFrequencies",
     "eigenmodes",
     "planar_frequencies",
     "planar_mode_vector",
     "symplectic_form",
     "krein_sign",
     "symplectic_normalize",
+    "select_positive_signature_modes",
 ]
 
 

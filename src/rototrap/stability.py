@@ -9,12 +9,13 @@ oscillatory window from the sign of the cubic discriminant; together they
 cut the Omega axis into the regions S1, I1, S2, I2, S3.
 """
 
+import math
 from itertools import permutations
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AmbiguousClassification, BracketTooSmall
+from .errors import AmbiguousClassification, BracketTooSmall, NumericError
 from .numerics import OmegaRange
 from .trap import char_poly_coeffs
 
@@ -85,9 +86,13 @@ def solve_cubic(coeffs):
     root: the companion route is robust near double roots where the closed
     formulas cancel catastrophically, and the polish restores the last
     digits. Conjugate closure of the output is enforced exactly. The roots
-    are sorted by (real part, imaginary part).
+    are sorted by (real part, imaginary part). A non-finite coefficient,
+    as when Omega^4 overflows a float past Omega ~ 1.2e77, raises
+    NumericError.
     """
     a, b, c = float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise NumericError(f"cubic coefficients not finite: A={a}, B={b}, C={c}")
 
     def q(x):
         return ((x + a) * x + b) * x + c

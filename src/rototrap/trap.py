@@ -26,6 +26,7 @@ from .errors import (
     NegativeOmega,
     NonPositivePotential,
     NonSymmetricPotential,
+    NumericError,
     OddPowersPresent,
     ZeroAxis,
 )
@@ -411,10 +412,14 @@ def char_poly_coeffs(cfg):
     C = Omega^2 (Tr V - Omega^2)(n.V.n) - Omega^2 (n.V^2.n) - Det V
 
     All three depend on V and n only through cfg.invariants, which the
-    dual route char_poly_from_matrix cross-checks.
+    dual route char_poly_from_matrix cross-checks. A rate whose square
+    overflows a float raises NumericError.
     """
     tr, tr_v2, det, nvn, nv2n = cfg.invariants
-    om2 = cfg.omega ** 2
+    try:
+        om2 = cfg.omega ** 2
+    except OverflowError as exc:
+        raise NumericError(f"Omega^2 overflows at Omega = {cfg.omega:.6g}") from exc
     a = -2.0 * om2 - tr
     b = om2 * om2 + om2 * (3.0 * nvn - tr) + 0.5 * (tr * tr - tr_v2)
     c = om2 * (tr - om2) * nvn - om2 * nv2n - det

@@ -10,6 +10,7 @@ evidence the implementation routes are consistent with each other, not
 just self-consistent.
 """
 
+from functools import cache
 from typing import List, NamedTuple
 
 import numpy as np
@@ -75,13 +76,15 @@ class VerificationReport:
 
 
 def _run(name, fn, checks):
+    # fn returns (ok, detail), or None when its check does not apply
     try:
-        ok, detail = fn()
+        result = fn()
     except RototrapError as exc:
-        ok, detail = False, f"{exc.code}: {exc}"
+        result = False, f"{exc.code}: {exc}"
     except Exception as exc:  # verify reports, it must not crash
-        ok, detail = False, f"{type(exc).__name__}: {exc}"
-    checks.append(CheckResult(name, bool(ok), detail))
+        result = False, f"{type(exc).__name__}: {exc}"
+    if result is not None:
+        checks.append(CheckResult(name, bool(result[0]), result[1]))
 
 
 def _rotation_matrix(rng):
@@ -95,22 +98,43 @@ def _rotation_matrix(rng):
 def verify_config(cfg):
     """Run the cross-route consistency suite on one validated config.
 
-    A stable config's checks share one eigendecomposition of M.
+    Each intermediate a check reads is built once, on first use inside a
+    check, so a failure to build it is reported by every check that reads
+    it and never escapes. Only the region lookup, which picks the checks,
+    comes before them.
     """
     checks: List[CheckResult] = []
-    coeffs = char_poly_coeffs(cfg)
-    scale = max(1.0, abs(coeffs.a), abs(coeffs.b), abs(coeffs.c))
+    x0 = np.array([1.0, 0.5, -0.3, 0.2, 1.1, -0.7])
+    coeffs = cache(lambda: char_poly_coeffs(cfg))
+    scale = cache(lambda: max(1.0, *(abs(x) for x in coeffs())))
+    chi_roots = cache(lambda: solve_cubic(coeffs()))
+    modes = cache(lambda: eigenmodes(cfg.dynamics_matrix))
+    forms = cache(lambda: invariant_forms(cfg))
+    null_dim = cache(lambda: invariance_nullspace(cfg)[0])
+    stationary = cache(lambda: stationary_K_from_modes(cfg, modes()))
+    c_at_x0 = cache(lambda: [evaluate_invariant(g, x0) for g in forms()])
+
+    @cache
+    def mode_terms():
+        # C_n(x0) = sum_k omega_k^(2n) E_k, term by term; with modes of both
+        # energy signs (past S1, or near a mode collision) the terms cancel,
+        # so rounding and step error scale with the terms, not with C_n
+        dec = amplitude_energies(modes(), x0)
+        return [
+            [om ** (2 * n) * e for om, e in zip(dec.omegas, dec.energies)]
+            for n in range(len(forms()))
+        ]
 
     def chk_char_poly():
         other = char_poly_from_matrix(cfg.dynamics_matrix)
-        err = max(abs(x - y) for x, y in zip(coeffs, other))
-        return err <= 1e-9 * scale, f"max coefficient gap {err:.3e}"
+        err = max(abs(x - y) for x, y in zip(coeffs(), other))
+        return err <= 1e-9 * scale(), f"max coefficient gap {err:.3e}"
 
     _run("char_poly_consistency", chk_char_poly, checks)
 
     def chk_eigen_cubic():
-        roots = solve_cubic(coeffs)
-        lam = eigenmodes(cfg.dynamics_matrix)
+        roots = chi_roots()
+        lam = modes()
         mu = sorted(
             (complex(m.omega) ** 2 for m in lam.modes),
             key=lambda z: (round(z.real, 9), round(z.imag, 9)),
@@ -135,9 +159,9 @@ def verify_config(cfg):
             )
             other = char_poly_coeffs(rot)
             worst = max(
-                worst, max(abs(x - y) for x, y in zip(coeffs, other))
+                worst, max(abs(x - y) for x, y in zip(coeffs(), other))
             )
-        return worst <= 1e-10 * scale, f"max coefficient shift {worst:.3e}"
+        return worst <= 1e-10 * scale(), f"max coefficient shift {worst:.3e}"
 
     _run("rotation_invariance", chk_rotation_invariance, checks)
 
@@ -147,7 +171,7 @@ def verify_config(cfg):
     def chk_region():
         if here.boundary:
             return True, f"on boundary of {here.label}, classification skipped"
-        cls = classify_chi_roots(solve_cubic(coeffs), default_classify_tol(coeffs))
+        cls = classify_chi_roots(chi_roots(), default_classify_tol(coeffs()))
         expect = {
             STABLE: ("S1", "S2", "S3"),
             EXPONENTIAL: ("I1",),
@@ -175,104 +199,80 @@ def verify_config(cfg):
 
     _run("resonance_roots", chk_resonance, checks)
 
-    null_dim, _, _ = invariance_nullspace(cfg)
-
     def chk_nullspace():
-        ok = null_dim >= 3
-        note = "" if null_dim == 3 else " (degenerate config)"
-        return ok, f"null dimension {null_dim}{note}"
+        ok = null_dim() >= 3
+        note = "" if null_dim() == 3 else " (degenerate config)"
+        return ok, f"null dimension {null_dim()}{note}"
 
     _run("invariance_nullspace_rank", chk_nullspace, checks)
-
-    forms = invariant_forms(cfg)
 
     def chk_invariant_residuals():
         # G_n scales as vscale^(n+1)
         vscale = max(1.0, float(np.max(np.abs(cfg.v))), cfg.omega ** 2)
         worst = max(
             invariance_residuals(g, cfg).worst / vscale ** (n + 1)
-            for n, g in enumerate(forms)
+            for n, g in enumerate(forms())
         )
         return worst <= 1e-9, f"worst scaled residual {worst:.3e}"
 
     _run("invariant_residuals", chk_invariant_residuals, checks)
 
-    stable_here = (not here.boundary) and here.label.startswith("S")
-    if stable_here:
-        ms = eigenmodes(cfg.dynamics_matrix)
-
-        def chk_stationary():
-            state = stationary_K_from_modes(cfg, ms)
-            rhs = riccati_rhs(state.k, cfg)
-            resid = float(np.max(np.abs(rhs)))
-            kscale = max(1.0, float(np.max(np.abs(state.k))))
-            min_eig = state.re_min_eig()
-            ok = resid <= 1e-9 * kscale and min_eig > 0
-            return ok, f"Riccati residual {resid:.3e}, min eig Re K {min_eig:.3e}"
-
-        _run("stationary_riccati_residual", chk_stationary, checks)
-
-        omegas = sorted(abs(m.omega) for m in ms.modes)
-        t_fast = 2.0 * np.pi / omegas[-1]
-        t_slow = 2.0 * np.pi / max(omegas[0], 1e-6)
-        x0 = np.array([1.0, 0.5, -0.3, 0.2, 1.1, -0.7])
-
-        def mode_terms():
-            # C_n(x0) = sum_k omega_k^(2n) E_k, term by term; with modes of
-            # both energy signs (past S1, or near a mode collision) the terms
-            # cancel, so rounding and step error scale with the terms, not
-            # with C_n itself
-            dec = amplitude_energies(ms, x0)
-            return [
-                [om ** (2 * n) * e for om, e in zip(dec.omegas, dec.energies)]
-                for n in range(len(forms))
-            ]
-
-        def chk_drift():
-            # capped, as the slowest mode freezes next to an exponential edge
-            span = min(10.0 * t_slow, _DRIFT_FAST_PERIODS * t_fast)
-            traj = linear_flow(cfg.dynamics_matrix, x0, span, t_fast / 400.0)
-            worst = 0.0
-            for g, terms in zip(forms, mode_terms()):
-                # trajectory_drift divides by 1 + |C_n(x0)|; rescale to the terms
-                rescale = (1.0 + abs(evaluate_invariant(g, x0))) / (
-                    1.0 + sum(abs(t) for t in terms)
-                )
-                worst = max(worst, trajectory_drift(g, traj) * rescale)
-            capped = span < 10.0 * t_slow
-            note = f", span capped at {_DRIFT_FAST_PERIODS} fast periods" if capped else ""
-            return worst <= 1e-7, f"max scaled drift {worst:.3e}{note}"
-
-        _run("trajectory_invariant_drift", chk_drift, checks)
-
-        def chk_energy_split():
-            worst = 0.0
-            for g, terms in zip(forms, mode_terms()):
-                gap = abs(evaluate_invariant(g, x0) - sum(terms))
-                worst = max(worst, gap / max(1.0, sum(abs(t) for t in terms)))
-            return worst <= 1e-9, (
-                f"worst scaled |C_n - sum omega_k^2n E_k| = {worst:.3e}"
-            )
-
-        _run("amplitude_energy_sum", chk_energy_split, checks)
-
-        if null_dim == 3:
-            def chk_wigner_span():
-                state = stationary_K_from_modes(cfg, ms)
-                dec = wigner_decompose_into_invariants(wigner_form(state.k), cfg)
-                return dec.residual <= 1e-8, (
-                    f"span residual {dec.residual:.3e}"
-                )
-
-            _run("wigner_invariant_span", chk_wigner_span, checks)
-    elif not here.boundary:
+    if here.boundary:
+        return VerificationReport(checks)
+    if not here.label.startswith("S"):
         def chk_quantum_instability():
             try:
-                stationary_K_from_modes(cfg)
+                stationary()
             except InInstabilityRegion as exc:
                 return True, f"InInstabilityRegion raised: {exc}"
             return False, "stationary state built inside an instability region"
 
         _run("quantum_instability_detected", chk_quantum_instability, checks)
+        return VerificationReport(checks)
 
+    def chk_stationary():
+        state = stationary()
+        rhs = riccati_rhs(state.k, cfg)
+        resid = float(np.max(np.abs(rhs)))
+        kscale = max(1.0, float(np.max(np.abs(state.k))))
+        min_eig = state.re_min_eig()
+        ok = resid <= 1e-9 * kscale and min_eig > 0
+        return ok, f"Riccati residual {resid:.3e}, min eig Re K {min_eig:.3e}"
+
+    _run("stationary_riccati_residual", chk_stationary, checks)
+
+    def chk_drift():
+        omegas = sorted(abs(m.omega) for m in modes().modes)
+        t_fast = 2.0 * np.pi / omegas[-1]
+        t_slow = 2.0 * np.pi / max(omegas[0], 1e-6)
+        # capped, as the slowest mode freezes next to an exponential edge
+        span = min(10.0 * t_slow, _DRIFT_FAST_PERIODS * t_fast)
+        traj = linear_flow(cfg.dynamics_matrix, x0, span, t_fast / 400.0)
+        worst = 0.0
+        for g, terms, c_n in zip(forms(), mode_terms(), c_at_x0()):
+            # trajectory_drift divides by 1 + |C_n(x0)|; rescale to the terms
+            rescale = (1.0 + abs(c_n)) / (1.0 + sum(abs(t) for t in terms))
+            worst = max(worst, trajectory_drift(g, traj) * rescale)
+        capped = span < 10.0 * t_slow
+        note = f", span capped at {_DRIFT_FAST_PERIODS} fast periods" if capped else ""
+        return worst <= 1e-7, f"max scaled drift {worst:.3e}{note}"
+
+    _run("trajectory_invariant_drift", chk_drift, checks)
+
+    def chk_energy_split():
+        worst = 0.0
+        for terms, c_n in zip(mode_terms(), c_at_x0()):
+            gap = abs(c_n - sum(terms))
+            worst = max(worst, gap / max(1.0, sum(abs(t) for t in terms)))
+        return worst <= 1e-9, f"worst scaled |C_n - sum omega_k^2n E_k| = {worst:.3e}"
+
+    _run("amplitude_energy_sum", chk_energy_split, checks)
+
+    def chk_wigner_span():
+        if null_dim() != 3:
+            return None  # G0..G2 span the invariants only when there are 3
+        dec = wigner_decompose_into_invariants(wigner_form(stationary().k), cfg)
+        return dec.residual <= 1e-8, f"span residual {dec.residual:.3e}"
+
+    _run("wigner_invariant_span", chk_wigner_span, checks)
     return VerificationReport(checks)

@@ -197,6 +197,25 @@ def test_scan_infinite_grid_end_is_one_config_error():
     assert "finite endpoints" in obj["message"]
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # Omega^2 overflows a float at the grid's second rate
+        ("--omega-max", "1e300", "--steps", "3"),
+        # Omega^2 is finite but Omega^4 is not, so B and C are infinite
+        ("--omega-min", "1e119", "--omega-max", "1e120", "--steps", "2"),
+    ],
+    ids=["square-overflows", "coefficients-infinite"],
+)
+def test_scan_at_an_overflowing_rate_is_one_numeric_error(grid):
+    proc = _fresh_run("scan", "fig1", *grid)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "NumericError"
+
+
 def test_scan_missing_required_flag(capsys):
     code, out, err = run_cli(capsys, "scan", "fig1")
     assert code == 1
@@ -491,13 +510,17 @@ def test_verify_passes_on_all_fixtures(capsys):
         assert all(c["ok"] for c in obj["checks"]), name
 
 
-def test_verify_failure_exits_3(capsys, monkeypatch, tmp_path):
+def _failing_report(monkeypatch):
     fake = SimpleNamespace(
         ok=False,
         failed=[SimpleNamespace(name="synthetic_check")],
         to_json_obj=lambda: {"ok": False, "checks": []},
     )
     monkeypatch.setattr("rototrap.cli.verify_config", lambda cfg: fake)
+
+
+def test_verify_failure_exits_3(capsys, monkeypatch, tmp_path):
+    _failing_report(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "fig1")
     assert code == 3
     assert json.loads(out)["ok"] is False
@@ -511,6 +534,24 @@ def test_verify_failure_exits_3(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["ok"] is False
+
+
+@pytest.mark.parametrize("command", ["resonance", "failing-verify"])
+def test_output_into_a_missing_directory_is_config_error(
+    capsys, monkeypatch, tmp_path, command
+):
+    # a failing verify writes its report through the same path before exit 3
+    if command == "failing-verify":
+        _failing_report(monkeypatch)
+        command = "verify"
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, command, "fig1", "-o", str(target))
+    assert code == 1
+    assert out == ""
+    obj = last_error_json(err)
+    assert obj["error"] == "InvalidConfig"
+    assert obj["message"].startswith("cannot write output: ")
+    assert not target.parent.exists()
 
 
 # -- config and usage errors -------------------------------------------------

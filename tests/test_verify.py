@@ -1,17 +1,28 @@
 """The cross-route consistency suite: near-edge runs and shared work."""
 
+import sys
+
+import numpy as np
 import pytest
 
 from rototrap import (
     classify_resonances,
     exponential_window,
     make_config,
+    region_map,
     resonant_frequencies,
     verify_config,
 )
-from rototrap import invariants, quantum, verify
+from rototrap import invariants, verify
 
-from conftest import fig1_config, fig5_config
+from conftest import (
+    fig1_config,
+    fig2_config,
+    fig3_config,
+    fig4_config,
+    fig5_config,
+    fig6_config,
+)
 
 # V = diag(1, 2, 3) tilted off every principal axis: both exponential edges
 # are finite, and the slowest mode freezes at each of them
@@ -67,21 +78,75 @@ def test_verify_drift_scales_with_the_mode_terms():
     assert check.ok, check.detail
 
 
-def test_stable_verify_decomposes_m_twice(monkeypatch):
-    # once in eigen_cubic_crosscheck, once for every stable-branch check
+def _count_calls(monkeypatch, owner, name):
+    """Calls to owner.name from every rototrap module that binds it."""
     calls = []
-    real = verify.eigenmodes
+    real = getattr(owner, name)
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "eigenmodes", counted)
-    monkeypatch.setattr(quantum, "eigenmodes", counted)
-    report = verify_config(fig1_config(1.0))
-    assert report.ok
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "rototrap" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+_ONCE_PER_CALL = {
+    "solve_cubic": 1,
+    "eigenmodes": 1,
+    "stationary_K_from_modes": 1,
+    "amplitude_energies": 1,
+    "evaluate_invariant": 3,  # C_n(x0) for n = 0, 1, 2
+    "invariance_nullspace": 1,
+    "region_map": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [fig1_config, fig2_config, fig3_config, fig4_config, fig5_config, fig6_config],
+    ids=["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"],
+)
+def test_stable_verify_builds_each_intermediate_once(monkeypatch, make):
+    # one ModeSet serves eigen_cubic_crosscheck and every stable-branch check
+    cfg = make()
+    calls = {name: _count_calls(monkeypatch, verify, name) for name in _ONCE_PER_CALL}
+    report = verify_config(cfg)
+    assert report.ok, report.failed
     assert "wigner_invariant_span" in [c.name for c in report.checks]
-    assert len(calls) == 2
+    assert {name: len(c) for name, c in calls.items()} == _ONCE_PER_CALL
+
+
+def _mid_window(window):
+    rmap = region_map(fig1_config())
+    lo, hi = (rmap.om_minus, rmap.om_plus) if window == "I1" else rmap.oscillatory
+    return fig1_config(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("window", ["I1", "I2"])
+def test_unstable_verify_detects_the_quantum_instability(monkeypatch, window):
+    cfg = _mid_window(window)
+    assert region_map(cfg).locate(cfg.omega).label == window
+    eig = _count_calls(monkeypatch, verify, "eigenmodes")
+    cubic = _count_calls(monkeypatch, verify, "solve_cubic")
+    report = verify_config(cfg)
+    assert report.ok, report.failed
+    check = next(c for c in report.checks if c.name == "quantum_instability_detected")
+    assert check.ok and check.detail.startswith("InInstabilityRegion raised")
+    assert (len(eig), len(cubic)) == (1, 1)
+
+
+def test_verify_reports_a_rate_whose_square_overflows():
+    # Omega^2 overflows a float: the checks that read the char-poly
+    # coefficients report NumericError, and verify still returns its report
+    with np.errstate(all="ignore"):
+        report = verify_config(fig1_config(1e200))
+    assert not report.ok
+    details = {c.name: c.detail for c in report.failed}
+    assert details["char_poly_consistency"].startswith("NumericError: ")
+    assert details["eigen_cubic_crosscheck"].startswith("NumericError: ")
 
 
 def test_classify_resonances_is_resonant_frequencies():
