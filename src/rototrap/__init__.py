@@ -26,7 +26,6 @@ from .errors import (
     ConvergenceFailure,
     DefectiveMatrix,
     DegenerateD,
-    DegenerateFrequencies,
     DegenerateModeVector,
     InInstabilityRegion,
     InsufficientSpan,
@@ -90,7 +89,6 @@ from .modes import (
     planar_mode_vector,
     select_positive_signature_modes,
     symplectic_form,
-    symplectic_normalize,
 )
 from .numerics import (
     OmegaRange,

@@ -23,7 +23,6 @@ __all__ = [
     "BracketTooSmall",
     "DefectiveMatrix",
     "DegenerateModeVector",
-    "DegenerateFrequencies",
     "DegenerateD",
     "StepTooLarge",
     "NonFiniteState",
@@ -128,10 +127,6 @@ class DefectiveMatrix(NumericError):
 
 
 class DegenerateModeVector(NumericError):
-    pass
-
-
-class DegenerateFrequencies(NumericError):
     pass
 
 

@@ -22,8 +22,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import NumericError, WrongDimension
-from .modes import select_positive_signature_modes, symplectic_form, symplectic_normalize
+from .errors import NumericError, UnstableConfig, WrongDimension
+from .modes import select_positive_signature_modes, symplectic_form
 
 __all__ = [
     "QuadraticInvariant",
@@ -225,27 +225,28 @@ class AmplitudeDecomposition(NamedTuple):
 def amplitude_energies(modes, x):
     """Split the energy of X over normal modes.
 
-    Selects the positive-symplectic member of each frequency pair,
-    rescales it so -i Xbar^dag J Xbar = 1, and projects
-    a_k = -i Xbar_k^dag J X. The signed frequencies omega_k then weight
-    |a_k|^2 so the sum reproduces the Hamiltonian; negative omega_k terms
-    appear above the first stability region. Only meaningful for stable
-    configs (UnstableConfig otherwise).
+    Takes the modes with real frequency and positive symplectic sign,
+    J-orthonormalises them with the Cholesky factor L of their Krein Gram
+    matrix G = -i Xbar^dag J Xbar, and projects a = -i L^{-1} Xbar^dag J X.
+    G is block-diagonal over frequency clusters, so L mixes modes only where
+    they share a frequency (a same-sign crossing, where the split between
+    them is not unique); elsewhere it only rescales each mode. The signed
+    frequencies omega_k then weight |a_k|^2 so the sum reproduces the
+    Hamiltonian; negative omega_k terms appear above the first stability
+    region. Only meaningful for stable configs (UnstableConfig otherwise).
     """
     x = np.asarray(x, dtype=float)
     sel = select_positive_signature_modes(modes)
+    xb = np.column_stack([mv.xbar for mv, _ in sel])
     jm = symplectic_form(modes[0].dim)
-    energies = []
-    omegas = []
-    amps = []
-    for mv, _ in sel:
-        xb = symplectic_normalize(mv).xbar
-        a = complex(-1j * (np.conj(xb) @ (jm @ x)))
-        om = float(mv.omega.real)
-        energies.append(om * abs(a) ** 2)
-        omegas.append(om)
-        amps.append(a)
-    return AmplitudeDecomposition(tuple(energies), tuple(omegas), tuple(amps))
+    try:
+        chol = np.linalg.cholesky(-1j * (xb.conj().T @ jm @ xb))
+    except np.linalg.LinAlgError as exc:
+        raise UnstableConfig(f"Krein Gram matrix of the selected modes: {exc}") from exc
+    amps = tuple(np.linalg.solve(chol, -1j * (xb.conj().T @ (jm @ x))).tolist())
+    omegas = tuple(float(mv.omega.real) for mv, _ in sel)
+    energies = tuple(om * abs(a) ** 2 for om, a in zip(omegas, amps))
+    return AmplitudeDecomposition(energies, omegas, amps)
 
 
 # -- defining equations as a linear system -----------------------------------

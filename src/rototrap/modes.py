@@ -1,15 +1,17 @@
 """Normal modes of the corotating-frame flow.
 
 Modes are solutions X(t) = Xbar exp(i omega t), so M Xbar = i omega Xbar:
-eigenvalues of M are reported as frequencies omega = lambda / i. Time
-reversal makes frequencies come in +- pairs and omega^2 reproduces the chi
-roots of the stability cubic. The planar closed forms (rotation about a
+eigenvalues of M are reported as frequencies omega = lambda / i. M is real,
+so omega and -conj(omega) are both frequencies, and omega^2 reproduces the
+chi roots of the stability cubic. The planar closed forms (rotation about a
 principal axis) are kept as an independent route for cross-validation.
 
-The symplectic form enters twice: the sign of -i Xbar^dag J Xbar splits
-each +- pair into a positive and a negative member (the selection that
-quantum state construction relies on), and rescaling that product to one
-normalizes mode amplitudes so conserved energies split per mode.
+The symplectic form selects modes: on a stable trap exactly d of the 2d
+modes have real frequency and positive Krein sign -i Xbar^dag J Xbar, the
+selection that quantum state construction and the per-mode energy split
+rely on. Two modes of equal Krein sign may share a frequency (a same-sign
+crossing, where M stays semisimple): the sign is definite on their joint
+eigenspace, so any basis of it that eig returns is selected alike.
 """
 
 from typing import NamedTuple
@@ -28,7 +30,6 @@ __all__ = [
     "planar_mode_vector",
     "symplectic_form",
     "krein_sign",
-    "symplectic_normalize",
     "select_positive_signature_modes",
 ]
 
@@ -71,15 +72,10 @@ class ModeVector:
 
 
 class ModeSet:
-    """Six modes sorted by (|omega|, descending real part) plus +- pairing.
+    """The 2d modes of a d-dimensional trap, sorted by (|omega|, descending real part)."""
 
-    ``pairs`` lists index tuples (i, j) with omega_j the nearest match to
-    -omega_i; for a stable spectrum these are exact sign partners.
-    """
-
-    def __init__(self, modes, pairs):
+    def __init__(self, modes):
         self.modes = list(modes)
-        self.pairs = [tuple(p) for p in pairs]
 
     @property
     def omegas(self):
@@ -104,20 +100,6 @@ class ModeSet:
         return out
 
 
-def _pair_indices(omegas):
-    # greedy nearest match of omega_i with -omega_j, unambiguous away from
-    # degeneracies
-    n = len(omegas)
-    unpaired = list(range(n))
-    pairs = []
-    while unpaired:
-        i = unpaired.pop(0)
-        j = min(unpaired, key=lambda k: abs(omegas[k] + omegas[i]))
-        unpaired.remove(j)
-        pairs.append((i, j))
-    return pairs
-
-
 def eigenmodes(m):
     """Full mode decomposition of a dynamics matrix.
 
@@ -138,16 +120,14 @@ def eigenmodes(m):
         range(len(omegas)),
         key=lambda i: (abs(omegas[i]), -omegas[i].real, -omegas[i].imag),
     )
-    modes = [ModeVector(omegas[i], vec[:, i]) for i in order]
-    pairs = _pair_indices([mv.omega for mv in modes])
-    return ModeSet(modes, pairs)
+    return ModeSet(ModeVector(omegas[i], vec[:, i]) for i in order)
 
 
 def krein_sign(mode_or_xbar):
     """Real part of -i Xbar^dag J Xbar.
 
     For a mode with real frequency this quantity is real and nonzero, and
-    its sign distinguishes the two members of a +- pair; it degenerates to
+    the modes at omega and -omega carry opposite signs; it degenerates to
     zero for growing/decaying modes.
     """
     xbar = mode_or_xbar.xbar if isinstance(mode_or_xbar, ModeVector) else mode_or_xbar
@@ -156,36 +136,27 @@ def krein_sign(mode_or_xbar):
     return float(np.real(-1j * (np.conj(xbar) @ (j @ xbar))))
 
 
-def symplectic_normalize(mode):
-    """Rescale a positive-sign mode so -i Xbar^dag J Xbar = 1."""
-    s = krein_sign(mode)
-    if s <= 0:
-        raise ValueError("symplectic normalization needs a positive-sign mode")
-    return ModeVector(mode.omega, mode.xbar / np.sqrt(s), normalize=False)
-
-
 def select_positive_signature_modes(modes):
-    """One member per frequency pair: the positive symplectic-sign one.
+    """The modes with real frequency and positive Krein sign.
 
-    The diagnostic sign check that feeds both the stationary-state sign
-    prescription and the amplitude-energy split. Returns (mode, sign)
-    tuples ordered by |omega| ascending. Raises UnstableConfig when a
-    frequency is not real or a pair has no sign split, which happens
-    exactly inside the instability windows.
+    Returns (mode, sign) tuples ordered by |omega| ascending; the sign
+    feeds both the stationary-state construction and the amplitude-energy
+    split. A stable d-dimensional trap has exactly d such modes, also where
+    two of them share a frequency. Any other count raises UnstableConfig,
+    which happens exactly inside the instability windows, where frequencies
+    leave the real axis and their Krein signs vanish.
     """
     sel = []
-    for i, j in modes.pairs:
-        for idx in (i, j):
-            om = modes[idx].omega
-            if abs(om.imag) > 1e-9 * (1.0 + abs(om)):
-                raise UnstableConfig(
-                    f"mode frequency {om:.6g} is not real: unstable config"
-                )
-        si, sj = krein_sign(modes[i]), krein_sign(modes[j])
-        if not si * sj < 0:
-            raise UnstableConfig("mode pair has no positive/negative symplectic split")
-        idx = i if si > 0 else j
-        sel.append((modes[idx], max(si, sj)))
+    for mv in modes:
+        sign = krein_sign(mv)
+        if abs(mv.omega.imag) <= 1e-9 * (1.0 + abs(mv.omega)) and sign > 0:
+            sel.append((mv, sign))
+    dim = modes[0].dim
+    if len(sel) != dim:
+        raise UnstableConfig(
+            f"{len(sel)} modes have real frequency and positive symplectic sign, "
+            f"a stable trap has {dim}: unstable config"
+        )
     sel.sort(key=lambda ms: abs(ms[0].omega))
     return sel
 

@@ -13,13 +13,14 @@ the momentum parts into script-N, then K = -i script-N script-D^{-1}.
 
 Sign convention, load-bearing: modes evolve as exp(+i omega t), so the
 eigenvalue problem reads M Xbar = i omega Xbar. The opposite convention
-silently flips every sign-selection rule below. Selection takes, from each
-+- frequency pair, the member with positive symplectic sign
--i Xbar^dag J Xbar; in the lowest stability region that keeps all three
-frequencies positive, above the exponential window the smallest flips
-negative, and above the oscillatory window the middle one does. Inside
-instability windows no choice makes Re K positive definite, so the
-classical and quantum stability regions coincide.
+silently flips every sign-selection rule below. Selection keeps the modes
+with real frequency and positive symplectic sign -i Xbar^dag J Xbar; in the
+lowest stability region those are the three positive frequencies, above the
+exponential window the smallest flips negative, and above the oscillatory
+window the middle one does. Two selected modes may share a frequency (a
+same-sign crossing): K does not depend on the basis chosen inside their
+eigenspace. Inside instability windows no choice makes Re K positive
+definite, so the classical and quantum stability regions coincide.
 """
 
 from typing import NamedTuple, Optional, Tuple
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import (
     ComplexKappa,
-    DegenerateFrequencies,
     InInstabilityRegion,
     NearSingular,
     NoValidRoot,
@@ -289,7 +289,7 @@ def evolve_riccati(k0, cfg, t_end, dt, method="direct"):
 def stationary_K_from_modes(cfg, modes=None):
     """Stationary Gaussian state assembled from classical normal modes.
 
-    From each +- frequency pair the member with positive symplectic sign is
+    The modes with real frequency and positive symplectic sign are
     selected (see module docstring); position parts form the columns of
     script-D, momentum parts those of script-N, and K = -i script-N
     script-D^{-1}. Mode normalization cancels in the product, so the result
@@ -304,12 +304,6 @@ def stationary_K_from_modes(cfg, modes=None):
         selected = [mv for mv, _ in select_positive_signature_modes(ms)]
     except UnstableConfig as exc:
         raise InInstabilityRegion(str(exc)) from exc
-    absom = [abs(mv.omega) for mv in selected]
-    gap_tol = 1e-8 * (1.0 + absom[-1])
-    if any(absom[i + 1] - absom[i] < gap_tol for i in range(len(absom) - 1)):
-        raise DegenerateFrequencies(
-            f"|omega| values {absom} not distinct within {gap_tol:.3g}"
-        )
     dmat = np.column_stack([mv.xbar[:dim] for mv in selected])
     nmat = np.column_stack([mv.xbar[dim:] for mv in selected])
     try:

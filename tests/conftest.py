@@ -10,7 +10,14 @@ import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
-from rototrap import QuadraticInvariant, make_config, region_map
+from rototrap import (
+    QuadraticInvariant,
+    eigenmodes,
+    exponential_window,
+    krein_sign,
+    make_config,
+    region_map,
+)
 
 # property tests draw the same examples on every run and keep no database.
 # Drawing a config builds its region map (about 50 ms), so the slow-draw
@@ -114,6 +121,39 @@ def sample_region_omegas(cfg, region, count, rng, margin=0.05):
         return []
     fracs = rng.uniform(margin, 1.0 - margin, size=count)
     return [omega_inside(lab, f) for f in fracs]
+
+
+def same_sign_crossing_rates(vals, n):
+    """Rates where two modes of equal Krein sign cross, rotating about axis n.
+
+    V = diag(vals) rotates about its n-th principal axis, whose mode keeps
+    omega^2 = v_n; an in-plane mode reaches it where x = Omega^2 solves
+    x^2 - (va + vb + 2 v_n) x + (v_n - va)(v_n - vb) = 0. A root is kept
+    when it lies outside the exponential window and the two colliding
+    omega > 0 modes share a Krein sign at Omega_c (1 + 1e-3).
+    """
+    vn, va, vb = vals[n], vals[(n + 1) % 3], vals[(n + 2) % 3]
+    big = 0.5 * (va + vb + 2.0 * vn + np.sqrt((va - vb) ** 2 + 8.0 * vn * (va + vb)))
+    rates = []
+    for x in (big, (vn - va) * (vn - vb) / big):
+        if x <= 0.0:
+            continue
+        cfg = make_config(np.diag(vals), np.eye(3)[n], float(np.sqrt(x)))
+        lo, hi = exponential_window(cfg)
+        if lo <= cfg.omega <= hi:
+            continue
+        ms = eigenmodes(cfg.with_omega(cfg.omega * (1.0 + 1e-3)).dynamics_matrix)
+        near = sorted(
+            (mv for mv in ms if mv.omega.real > 0),
+            key=lambda mv: abs(mv.omega - np.sqrt(vn)),
+        )
+        if krein_sign(near[0]) * krein_sign(near[1]) > 0:
+            rates.append(cfg.omega)
+    return rates
+
+
+# the relative offsets from a crossing rate that the crossing tests visit
+CROSSING_DELTAS = (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8, 1e-7, -1e-7, 1e-6, -1e-6)
 
 
 def displayed_c3(cfg):

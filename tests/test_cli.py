@@ -26,7 +26,7 @@ from rototrap import (
 from rototrap import cli
 from rototrap.cli import FIXTURES, emit_plot_data, fixture_path, main
 
-from conftest import fig2_config, fig5_config
+from conftest import fig2_config, fig5_config, same_sign_crossing_rates
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +338,18 @@ def test_ground_state_fig2(capsys):
     k = np.array([[c["re"] + 1j * c["im"] for c in row] for row in obj["k"]])
     expected = stationary_K_from_modes(fig2_config(0.5)).k
     np.testing.assert_allclose(k, expected, atol=1e-12)
+
+
+def test_ground_state_and_verify_at_a_same_sign_crossing(capsys, tmp_path):
+    # fig2's trap where its axis mode and an in-plane mode share omega = sqrt 3
+    doc = load_fixture_doc("fig2")
+    (doc["omega"],) = same_sign_crossing_rates([1.0, 2.0, 3.0], 2)
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "ground-state", str(path))
+    assert code == 0
+    assert json.loads(out)["riccati_residual"] < 1e-9
+    assert run_cli(capsys, "verify", str(path))[0] == 0
 
 
 def test_ground_state_in_instability_region_exits_2(capsys, tmp_path):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from rototrap import (
     LinearTrap,
+    ModeSet,
+    ModeVector,
     QuadraticInvariant,
     UnstableConfig,
     WrongDimension,
@@ -19,6 +21,7 @@ from rototrap import (
     invariance_nullspace,
     invariance_residuals,
     invariant_forms,
+    krein_sign,
     line_trap,
     linear_flow,
     make_config,
@@ -352,6 +355,20 @@ def test_amplitude_energies_unstable_raises():
     ms = eigenmodes(cfg.dynamics_matrix)
     with pytest.raises(UnstableConfig):
         amplitude_energies(ms, np.ones(6))
+
+
+def test_amplitude_energies_refuse_an_indefinite_krein_gram():
+    # u +- w/2, with u of Krein sign +1 and w of -1, each have sign 3/4 but
+    # their Gram matrix [[3/4, 5/4], [5/4, 3/4]] is indefinite: no
+    # J-orthonormal basis exists, as no stable trap's modes would allow
+    ms = eigenmodes(fig1_config(1.0).dynamics_matrix)
+    pos = [mv for mv in ms if krein_sign(mv) > 0]
+    neg = [mv for mv in ms if krein_sign(mv) < 0]
+    u = pos[0].xbar / np.sqrt(krein_sign(pos[0]))
+    w = neg[-1].xbar / np.sqrt(-krein_sign(neg[-1]))
+    mixed = [ModeVector(pos[0].omega, u + s * w / 2, normalize=False) for s in (1, -1)]
+    with pytest.raises(UnstableConfig):
+        amplitude_energies(ModeSet(mixed + pos[2:] + neg), np.ones(6))
 
 
 def _energy_check(cfg):

@@ -1,4 +1,4 @@
-"""Eigenmode extraction, pairing, and the planar closed forms."""
+"""Eigenmode extraction, Krein-sign selection, and the planar closed forms."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from rototrap import (
     DefectiveMatrix,
     DegenerateModeVector,
-    ModeVector,
     UnstableConfig,
     char_poly_coeffs,
     eigenmodes,
@@ -18,10 +17,9 @@ from rototrap import (
     select_positive_signature_modes,
     solve_cubic,
     symplectic_form,
-    symplectic_normalize,
 )
 
-from conftest import V123, fig1_config, fig2_config, random_config
+from conftest import V123, fig1_config, fig2_config, random_config, same_sign_crossing_rates
 
 
 # -- eigenmodes --------------------------------------------------------------
@@ -57,8 +55,10 @@ def test_frequencies_pair_and_sum_to_zero(rng):
         except DefectiveMatrix:
             continue
         assert abs(np.sum(ms.omegas)) < 1e-9
-        for i, j in ms.pairs:
-            assert abs(ms[i].omega + ms[j].omega) < 1e-8 * (1.0 + abs(ms[i].omega))
+        key = lambda z: (round(z.real, 7), round(z.imag, 7))
+        plus = np.array(sorted(ms.omegas, key=key))
+        minus = np.array(sorted(-ms.omegas, key=key))
+        assert np.all(np.abs(plus - minus) < 1e-8 * (1.0 + np.abs(plus)))
 
 
 def test_omega_squared_matches_chi_roots(rng):
@@ -70,9 +70,10 @@ def test_omega_squared_matches_chi_roots(rng):
             ms = eigenmodes(cfg.dynamics_matrix)
         except DefectiveMatrix:
             continue
-        sq = np.array([ms[i].omega ** 2 for i, _ in ms.pairs])
+        # omega and -omega share omega^2, so each chi root appears twice
+        sq = ms.omegas ** 2
         scale = 1.0 + np.max(np.abs(chi))
-        chi_s = np.array(sorted(chi, key=lambda z: (round(z.real, 7), z.imag)))
+        chi_s = np.array(sorted(np.repeat(chi, 2), key=lambda z: (round(z.real, 7), z.imag)))
         sq_s = np.array(sorted(sq, key=lambda z: (round(z.real, 7), z.imag)))
         assert np.allclose(chi_s, sq_s, atol=1e-8 * scale)
 
@@ -97,20 +98,12 @@ def test_mode_set_json_layout():
 
 def test_krein_signs_split_pairs():
     ms = eigenmodes(fig1_config(1.0).dynamics_matrix)
-    for i, j in ms.pairs:
-        si, sj = krein_sign(ms[i]), krein_sign(ms[j])
-        assert si * sj < 0
-
-
-def test_symplectic_normalize_unit_product():
-    ms = eigenmodes(fig1_config(1.0).dynamics_matrix)
-    for mv, _ in select_positive_signature_modes(ms):
-        unit = symplectic_normalize(mv)
-        assert krein_sign(unit) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        neg = ModeVector(ms[0].omega, np.conj(ms[0].xbar))
-        sign = krein_sign(neg)
-        symplectic_normalize(neg if sign < 0 else ms[0])
+    signs = [krein_sign(mv) for mv in ms]
+    assert sum(s > 0 for s in signs) == 3
+    for mv, s in zip(ms, signs):
+        if s > 0:
+            partner = min(range(len(ms)), key=lambda j: abs(ms[j].omega + mv.omega))
+            assert signs[partner] < 0
 
 
 def test_select_positive_signature_modes_stable():
@@ -120,6 +113,16 @@ def test_select_positive_signature_modes_stable():
     mags = [abs(mv.omega) for mv, _ in sel]
     assert mags == sorted(mags)
     assert all(s > 0 for _, s in sel)
+
+
+def test_select_positive_signature_modes_at_a_same_sign_crossing():
+    # fig2's trap at its lower crossing: the axis mode and an in-plane mode
+    # share omega = sqrt 3 and Krein sign +1, so M stays semisimple
+    (om_c,) = same_sign_crossing_rates([1.0, 2.0, 3.0], 2)
+    ms = eigenmodes(fig2_config(om_c).dynamics_matrix)
+    sel = select_positive_signature_modes(ms)
+    assert [s > 0 for _, s in sel] == [True] * 3
+    assert [abs(mv.omega) for mv, _ in sel][1:] == pytest.approx([np.sqrt(3.0)] * 2, rel=1e-12)
 
 
 def test_select_positive_signature_modes_unstable():

@@ -22,9 +22,12 @@ from rototrap import (
     RiccatiTrajectory,
     SingularD,
     StepTooLarge,
+    amplitude_energies,
     cinv3,
     eigenmodes,
+    evaluate_invariant,
     evolve_riccati,
+    invariant_forms,
     line_trap,
     linear_flow,
     make_config,
@@ -41,11 +44,14 @@ from rototrap import (
 )
 
 from conftest import (
+    CROSSING_DELTAS,
     V123,
     fig2_config,
     fig3_config,
     hard_configs,
     random_config,
+    random_potential,
+    same_sign_crossing_rates,
     sample_region_omegas,
 )
 
@@ -404,11 +410,36 @@ def test_stationary_invariant_under_mode_rescaling(rng):
         [
             ModeVector(mv.omega, mv.xbar * (s if abs(s) > 0.1 else 1.0), normalize=False)
             for mv, s in zip(ms.modes, scales)
-        ],
-        ms.pairs,
+        ]
     )
     other = stationary_K_from_modes(cfg, modes=doctored)
     assert np.max(np.abs(other.k - base.k)) < 1e-10
+
+
+def test_same_sign_crossings_keep_the_planar_K_and_the_energy_split():
+    # where two modes of equal Krein sign share a frequency M stays
+    # semisimple: K does not depend on the basis eig picks inside the
+    # cluster, and the energy still splits over an orthonormal basis of it
+    rng = np.random.default_rng(21)
+    x0 = np.array([1.0, 0.5, -0.3, 0.2, 1.1, -0.7])
+    n_rates = 0
+    for _ in range(30):
+        vals = np.diag(random_potential(rng, rotated=False))
+        for n in range(3):
+            # the closed form rotates about z: relabel cyclically, keeping W
+            idx = [(n + 1) % 3, (n + 2) % 3, n]
+            for om_c in same_sign_crossing_rates(vals, n):
+                n_rates += 1
+                for delta in CROSSING_DELTAS:
+                    cfg = make_config(np.diag(vals), np.eye(3)[n], om_c * (1.0 + delta))
+                    ms = eigenmodes(cfg.dynamics_matrix)
+                    k = stationary_K_from_modes(cfg, ms).k[np.ix_(idx, idx)]
+                    closed = planar_stationary_K(*vals[idx], cfg.omega).matrix3()
+                    assert np.max(np.abs(k - closed)) <= 1e-12 * np.max(np.abs(closed))
+                    energies = amplitude_energies(ms, x0).energies
+                    h = evaluate_invariant(invariant_forms(cfg)[0], x0)
+                    assert abs(sum(energies) - h) <= 1e-12 * sum(abs(e) for e in energies)
+    assert n_rates > 40
 
 
 def test_stability_correspondence_across_regions():

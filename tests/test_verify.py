@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from rototrap import (
+    ModeSet,
+    ModeVector,
     classify_resonances,
+    eigenmodes,
     exponential_window,
     make_config,
     region_map,
@@ -16,12 +19,14 @@ from rototrap import (
 from rototrap import invariants, verify
 
 from conftest import (
+    CROSSING_DELTAS,
     fig1_config,
     fig2_config,
     fig3_config,
     fig4_config,
     fig5_config,
     fig6_config,
+    same_sign_crossing_rates,
 )
 
 # V = diag(1, 2, 3) tilted off every principal axis: both exponential edges
@@ -181,3 +186,38 @@ def test_verify_drift_checks_all_three_invariants(monkeypatch):
     monkeypatch.setattr(verify, "trajectory_drift", recorded)
     assert _drift_check(verify_config(fig1_config(1.0))).ok
     assert labels == ["G0", "G1", "G2"]
+
+
+# fig2's trap at its lower crossing, where the axis mode and an in-plane mode
+# share omega = sqrt 3 and Krein sign +1
+(_FIG2_CROSSING,) = same_sign_crossing_rates([1.0, 2.0, 3.0], 2)
+
+
+@pytest.mark.parametrize("delta", CROSSING_DELTAS)
+def test_verify_accepts_a_same_sign_crossing(delta):
+    report = verify_config(fig2_config(_FIG2_CROSSING * (1.0 + delta)))
+    assert {c.name for c in report.failed} <= {"region_consistency"}, report.failed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="companion eigenvalues split the double root chi = 3 into a complex "
+    "pair, so region_consistency fails; the discriminant-sign rule of ROADMAP "
+    "item 2 labels it",
+)
+def test_verify_passes_next_to_a_same_sign_crossing():
+    report = verify_config(fig2_config(_FIG2_CROSSING * (1.0 + 1e-9)))
+    assert report.ok, report.failed
+
+
+def test_eigen_cubic_crosscheck_catches_a_frequency_off_by_1e9(monkeypatch):
+    # omega^2 put back into the cubic: a root moved by 2e-9 relative leaves
+    # a backward error far above the 1e-12 bound
+    def skewed(m):
+        ms = eigenmodes(m)
+        first = ModeVector(ms[0].omega * (1.0 + 1e-9), ms[0].xbar, normalize=False)
+        return ModeSet([first] + ms.modes[1:])
+
+    monkeypatch.setattr(verify, "eigenmodes", skewed)
+    report = verify_config(fig1_config(1.0))
+    assert "eigen_cubic_crosscheck" in {c.name for c in report.failed}
