@@ -45,7 +45,6 @@ from .errors import (
     SingularD,
     SingularModeMatrix,
     StepTooLarge,
-    UnstableConfig,
     VerificationError,
     WrongDimension,
     ZeroAxis,

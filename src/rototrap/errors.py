@@ -33,7 +33,6 @@ __all__ = [
     "ComplexKappa",
     "NotNormalizable",
     "NotInSpan",
-    "UnstableConfig",
     "InsufficientSpan",
     "ConvergenceFailure",
     "NotSymmetric",
@@ -171,10 +170,6 @@ class NotNormalizable(NumericError):
 
 
 class NotInSpan(NumericError):
-    pass
-
-
-class UnstableConfig(NumericError):
     pass
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import NumericError, UnstableConfig, WrongDimension
+from .errors import InInstabilityRegion, NumericError, WrongDimension
 from .modes import select_positive_signature_modes, symplectic_form
 
 __all__ = [
@@ -233,18 +233,19 @@ def amplitude_energies(modes, x):
     them is not unique); elsewhere it only rescales each mode. The signed
     frequencies omega_k then weight |a_k|^2 so the sum reproduces the
     Hamiltonian; negative omega_k terms appear above the first stability
-    region. Only meaningful for stable configs (UnstableConfig otherwise).
+    region. Only meaningful for stable configs (InInstabilityRegion
+    otherwise).
     """
     x = np.asarray(x, dtype=float)
     sel = select_positive_signature_modes(modes)
-    xb = np.column_stack([mv.xbar for mv, _ in sel])
+    xb = np.column_stack([mv.xbar for mv in sel])
     jm = symplectic_form(modes[0].dim)
     try:
         chol = np.linalg.cholesky(-1j * (xb.conj().T @ jm @ xb))
     except np.linalg.LinAlgError as exc:
-        raise UnstableConfig(f"Krein Gram matrix of the selected modes: {exc}") from exc
+        raise InInstabilityRegion(f"Krein Gram matrix of the selected modes: {exc}") from exc
     amps = tuple(np.linalg.solve(chol, -1j * (xb.conj().T @ (jm @ x))).tolist())
-    omegas = tuple(float(mv.omega.real) for mv, _ in sel)
+    omegas = tuple(float(mv.omega.real) for mv in sel)
     energies = tuple(om * abs(a) ** 2 for om, a in zip(omegas, amps))
     return AmplitudeDecomposition(energies, omegas, amps)
 

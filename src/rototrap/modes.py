@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DefectiveMatrix, DegenerateModeVector, UnstableConfig
+from .errors import DefectiveMatrix, DegenerateModeVector, InInstabilityRegion
 from .numerics import eig_general
 
 __all__ = [
@@ -139,25 +139,24 @@ def krein_sign(mode_or_xbar):
 def select_positive_signature_modes(modes):
     """The modes with real frequency and positive Krein sign.
 
-    Returns (mode, sign) tuples ordered by |omega| ascending; the sign
-    feeds both the stationary-state construction and the amplitude-energy
-    split. A stable d-dimensional trap has exactly d such modes, also where
-    two of them share a frequency. Any other count raises UnstableConfig,
-    which happens exactly inside the instability windows, where frequencies
-    leave the real axis and their Krein signs vanish.
+    Returns them ordered by |omega| ascending. A stable d-dimensional trap
+    has exactly d such modes, also where two of them share a frequency. Any
+    other count raises InInstabilityRegion, which happens exactly inside the
+    instability windows, where frequencies leave the real axis and their
+    Krein signs vanish.
     """
-    sel = []
-    for mv in modes:
-        sign = krein_sign(mv)
-        if abs(mv.omega.imag) <= 1e-9 * (1.0 + abs(mv.omega)) and sign > 0:
-            sel.append((mv, sign))
+    sel = [
+        mv
+        for mv in modes
+        if abs(mv.omega.imag) <= 1e-9 * (1.0 + abs(mv.omega)) and krein_sign(mv) > 0
+    ]
     dim = modes[0].dim
     if len(sel) != dim:
-        raise UnstableConfig(
+        raise InInstabilityRegion(
             f"{len(sel)} modes have real frequency and positive symplectic sign, "
             f"a stable trap has {dim}: unstable config"
         )
-    sel.sort(key=lambda ms: abs(ms[0].omega))
+    sel.sort(key=lambda mv: abs(mv.omega))
     return sel
 
 

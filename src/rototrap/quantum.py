@@ -21,9 +21,14 @@ window the middle one does. Two selected modes may share a frequency (a
 same-sign crossing): K does not depend on the basis chosen inside their
 eigenspace. Inside instability windows no choice makes Re K positive
 definite, so the classical and quantum stability regions coincide.
+
+A stationary state's Wigner exponent depends only on constants of motion:
+wigner_decompose_into_invariants expands it over the forms it is given,
+invariant_forms' G0 .. G{d-1} in 1D, 2D and 3D alike. The planar closed
+forms (planar_stationary_K) are an independent route, for tests.
 """
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,9 +42,8 @@ from .errors import (
     NotSymmetric,
     SingularD,
     SingularModeMatrix,
-    UnstableConfig,
 )
-from .invariants import build_invariant, invariant_forms, quadratic_form
+from .invariants import quadratic_form
 from .modes import eigenmodes, select_positive_signature_modes
 from .numerics import (
     _check_step_bound,
@@ -300,10 +304,7 @@ def stationary_K_from_modes(cfg, modes=None):
     """
     ms = eigenmodes(cfg.dynamics_matrix) if modes is None else modes
     dim = ms[0].dim
-    try:
-        selected = [mv for mv, _ in select_positive_signature_modes(ms)]
-    except UnstableConfig as exc:
-        raise InInstabilityRegion(str(exc)) from exc
+    selected = select_positive_signature_modes(ms)
     dmat = np.column_stack([mv.xbar[:dim] for mv in selected])
     nmat = np.column_stack([mv.xbar[dim:] for mv in selected])
     try:
@@ -447,54 +448,32 @@ def wigner_form(k):
 class WignerDecomposition(NamedTuple):
     coefficients: Tuple[float, ...]
     residual: float
-    closed_form: Optional[Tuple[float, float]]
 
 
-def wigner_decompose_into_invariants(wf, cfg):
-    """Expand the Wigner exponent over the conserved quadratic forms.
+def wigner_decompose_into_invariants(wf, forms):
+    """Expand a Wigner exponent over the conserved quadratic forms.
 
     A stationary Wigner function can only depend on constants of motion,
-    so its exponent must be a combination of the invariant quadratic
-    forms. In the plane the basis is (C1, C2_2D), where the closed-form
-    weights below apply; otherwise it is invariant_forms' G0 .. G{d-1},
-    in 3D the Hamiltonian H, H (-M^2) and the third invariant H (-M^2)^2.
+    so its exponent w must be a combination of the invariant quadratic
+    forms. forms is the basis: invariant_forms(cfg)'s G_n = H (-M^2)^n,
+    n = 0 .. d-1, in 1D, 2D and 3D alike. G_n grows as Omega^(2n), so each
+    column is scaled to unit norm for the least-squares solve, lest its
+    cutoff drop the small ones at a large rate.
 
-    Returns least-squares coefficients and the relative residual; in the
-    planar case the closed forms
-
-        k1 = 2 (beta Vy - alpha Vx) / (alpha beta (Vy - Vx)),
-        k2 = 2 (alpha - beta) / (alpha beta (Vy - Vx))
-
-    are evaluated alongside for comparison (skipped within 1e-8 of the
-    symmetric trap where they degenerate to 0/0). The coefficients satisfy
-    w = k1 G1 + k2 G2 for the exponent written as exp(-X.w.X / 2); quoting
-    the combination without that minus sign flips the overall sign, which
-    is the one documented discrepancy against the source expressions.
+    Returns the coefficients k_n and the relative residual (NotInSpan
+    beyond 1e-6). They satisfy w = sum_n k_n G_n for the exponent written
+    as exp(-X.w.X / 2); quoting the combination without that minus sign
+    flips the overall sign, which is the one documented discrepancy
+    against the source expressions.
     """
-    w = np.asarray(wf.w if isinstance(wf, WignerForm) else wf, dtype=float)
-    d = w.shape[0] // 2
-    if d == 2:
-        invs = [build_invariant("C1", cfg), build_invariant("C2_2D", cfg)]
-    else:
-        invs = invariant_forms(cfg)
-    gs = [quadratic_form(iv) for iv in invs]
-    a = np.column_stack([g.reshape(-1) for g in gs])
-    coef, *_ = np.linalg.lstsq(a, w.reshape(-1), rcond=None)
-    resid = float(
-        np.linalg.norm(w.reshape(-1) - a @ coef) / np.linalg.norm(w)
-    )
+    w = wf.w.reshape(-1)
+    a = np.column_stack([quadratic_form(g).reshape(-1) for g in forms])
+    norms = np.linalg.norm(a, axis=0)
+    a = a / norms
+    coef, *_ = np.linalg.lstsq(a, w, rcond=None)
+    resid = float(np.linalg.norm(w - a @ coef) / np.linalg.norm(w))
     if resid > 1e-6:
         raise NotInSpan(
             f"Wigner form residual {resid:.3e} outside the invariant span"
         )
-    closed = None
-    if d == 2:
-        vx, vy = float(cfg.v[0, 0]), float(cfg.v[1, 1])
-        if abs(vy - vx) >= 1e-8:
-            psk = planar_stationary_K(vx, vy, 1.0, cfg.omega)
-            al, be = psk.alpha, psk.beta
-            closed = (
-                2.0 * (be * vy - al * vx) / (al * be * (vy - vx)),
-                2.0 * (al - be) / (al * be * (vy - vx)),
-            )
-    return WignerDecomposition(tuple(float(x) for x in coef), resid, closed)
+    return WignerDecomposition(tuple(float(x) for x in coef / norms), resid)

@@ -266,7 +266,7 @@ def verify_config(cfg):
     def chk_wigner_span():
         if null_dim() != 3:
             return None  # G0..G2 span the invariants only when there are 3
-        dec = wigner_decompose_into_invariants(wigner_form(stationary().k), cfg)
+        dec = wigner_decompose_into_invariants(wigner_form(stationary().k), forms())
         return dec.residual <= 1e-8, f"span residual {dec.residual:.3e}"
 
     _run("wigner_invariant_span", chk_wigner_span, checks)

@@ -16,6 +16,7 @@ from rototrap import (
     exponential_window,
     krein_sign,
     make_config,
+    planar_stationary_K,
     region_map,
 )
 
@@ -67,6 +68,10 @@ def fig5_config(omega=0.5):
 
 def fig6_config(omega=0.5):
     return make_config(V123, tilted_axis(np.pi / 60.0), omega)
+
+
+FIGURE_CONFIGS = (fig1_config, fig2_config, fig3_config, fig4_config, fig5_config, fig6_config)
+FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
 
 def random_rotation(rng):
@@ -154,6 +159,25 @@ def same_sign_crossing_rates(vals, n):
 
 # the relative offsets from a crossing rate that the crossing tests visit
 CROSSING_DELTAS = (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8, 1e-7, -1e-7, 1e-6, -1e-6)
+
+
+def planar_wigner_weights(vx, vy, omega):
+    """Closed-form weights of the planar stationary Wigner exponent on (G0, G1).
+
+    With alpha, beta from planar_stationary_K, the exponent is
+    w = k1 C1 + k2 C2_2D for
+
+        k1 = 2 (beta Vy - alpha Vx) / (alpha beta (Vy - Vx)),
+        k2 = 2 (alpha - beta) / (alpha beta (Vy - Vx)),
+
+    and C1 = G0, C2_2D = G1 - 3 Omega^2 G0 make that (k1 - 3 Omega^2 k2) G0
+    + k2 G1. The forms degenerate to 0/0 on a symmetric trap (Vx = Vy).
+    """
+    psk = planar_stationary_K(vx, vy, 1.0, omega)
+    al, be = psk.alpha, psk.beta
+    k1 = 2.0 * (be * vy - al * vx) / (al * be * (vy - vx))
+    k2 = 2.0 * (al - be) / (al * be * (vy - vx))
+    return np.array([k1 - 3.0 * omega * omega * k2, k2])
 
 
 def displayed_c3(cfg):

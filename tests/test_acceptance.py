@@ -30,6 +30,7 @@ from rototrap import (
     growth_classification,
     invariance_nullspace,
     invariance_residuals,
+    invariant_forms,
     line_trap,
     make_config,
     planar_stationary_K,
@@ -55,6 +56,7 @@ from conftest import (
     fig5_config,
     fig6_config,
     omega_inside,
+    planar_wigner_weights,
     random_config,
     random_rotation,
     tilted_axis,
@@ -328,11 +330,12 @@ def test_criterion_11_wigner_decomposition():
     for om in (0.0, 0.3, 0.5, 2.0, 2.5):
         trap = planar_trap(1.0, 2.0, om)
         k2 = planar_stationary_K(1.0, 2.0, 1.0, om).matrix2()
-        dec = wigner_decompose_into_invariants(wigner_form(k2), trap)
+        dec = wigner_decompose_into_invariants(wigner_form(k2), invariant_forms(trap))
         assert dec.residual < 1e-8
+        assert dec.coefficients == pytest.approx(planar_wigner_weights(1.0, 2.0, om), rel=1e-10)
     static = wigner_decompose_into_invariants(
         wigner_form(np.diag([1.0, np.sqrt(2.0)]).astype(complex)),
-        planar_trap(1.0, 2.0, 0.0),
+        invariant_forms(planar_trap(1.0, 2.0, 0.0)),
     )
     c1, c2 = static.coefficients
     assert abs(abs(c1) - (4.0 - np.sqrt(2.0))) < 1e-8

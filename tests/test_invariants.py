@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rototrap import (
+    InInstabilityRegion,
     LinearTrap,
     ModeSet,
     ModeVector,
     QuadraticInvariant,
-    UnstableConfig,
     WrongDimension,
     amplitude_energies,
     build_invariant,
@@ -353,7 +353,7 @@ def test_amplitude_energies_negative_term_in_s2(rng):
 def test_amplitude_energies_unstable_raises():
     cfg = fig2_config(1.2)
     ms = eigenmodes(cfg.dynamics_matrix)
-    with pytest.raises(UnstableConfig):
+    with pytest.raises(InInstabilityRegion):
         amplitude_energies(ms, np.ones(6))
 
 
@@ -367,7 +367,7 @@ def test_amplitude_energies_refuse_an_indefinite_krein_gram():
     u = pos[0].xbar / np.sqrt(krein_sign(pos[0]))
     w = neg[-1].xbar / np.sqrt(-krein_sign(neg[-1]))
     mixed = [ModeVector(pos[0].omega, u + s * w / 2, normalize=False) for s in (1, -1)]
-    with pytest.raises(UnstableConfig):
+    with pytest.raises(InInstabilityRegion):
         amplitude_energies(ModeSet(mixed + pos[2:] + neg), np.ones(6))
 
 

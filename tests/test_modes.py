@@ -6,7 +6,7 @@ import pytest
 from rototrap import (
     DefectiveMatrix,
     DegenerateModeVector,
-    UnstableConfig,
+    InInstabilityRegion,
     char_poly_coeffs,
     eigenmodes,
     krein_sign,
@@ -110,9 +110,9 @@ def test_select_positive_signature_modes_stable():
     ms = eigenmodes(fig1_config(1.0).dynamics_matrix)
     sel = select_positive_signature_modes(ms)
     assert len(sel) == 3
-    mags = [abs(mv.omega) for mv, _ in sel]
+    mags = [abs(mv.omega) for mv in sel]
     assert mags == sorted(mags)
-    assert all(s > 0 for _, s in sel)
+    assert all(krein_sign(mv) > 0 for mv in sel)
 
 
 def test_select_positive_signature_modes_at_a_same_sign_crossing():
@@ -121,14 +121,14 @@ def test_select_positive_signature_modes_at_a_same_sign_crossing():
     (om_c,) = same_sign_crossing_rates([1.0, 2.0, 3.0], 2)
     ms = eigenmodes(fig2_config(om_c).dynamics_matrix)
     sel = select_positive_signature_modes(ms)
-    assert [s > 0 for _, s in sel] == [True] * 3
-    assert [abs(mv.omega) for mv, _ in sel][1:] == pytest.approx([np.sqrt(3.0)] * 2, rel=1e-12)
+    assert [krein_sign(mv) > 0 for mv in sel] == [True] * 3
+    assert [abs(mv.omega) for mv in sel][1:] == pytest.approx([np.sqrt(3.0)] * 2, rel=1e-12)
 
 
 def test_select_positive_signature_modes_unstable():
     # inside the exponential window a pair loses its sign split
     ms = eigenmodes(fig2_config(1.2).dynamics_matrix)
-    with pytest.raises(UnstableConfig):
+    with pytest.raises(InInstabilityRegion):
         select_positive_signature_modes(ms)
 
 

@@ -45,10 +45,13 @@ from rototrap import (
 
 from conftest import (
     CROSSING_DELTAS,
+    FIGURE_CONFIGS,
+    FIGURE_IDS,
     V123,
     fig2_config,
     fig3_config,
     hard_configs,
+    planar_wigner_weights,
     random_config,
     random_potential,
     same_sign_crossing_rates,
@@ -463,7 +466,7 @@ def test_wrong_pair_selection_degenerates():
     # zero eigenvalue, which is why that choice is rejected
     cfg = fig3_config(0.5)
     ms = eigenmodes(cfg.dynamics_matrix)
-    sel = [mv for mv, _ in select_positive_signature_modes(ms)]
+    sel = select_positive_signature_modes(ms)
     partner = ModeVector(-sel[0].omega, np.conj(sel[0].xbar), normalize=False)
     cols = [sel[0], partner, sel[1]]
     dmat = np.column_stack([mv.xbar[:3] for mv in cols])
@@ -576,53 +579,67 @@ def test_wigner_form_rejects_unnormalizable():
 
 # -- Wigner decomposition ----------------------------------------------------
 
+def _decompose(trap, k):
+    return wigner_decompose_into_invariants(wigner_form(k), invariant_forms(trap))
+
+
 def test_wigner_decompose_planar_static():
-    trap = planar_trap(1.0, 2.0, 0.0)
-    k = np.diag([1.0, np.sqrt(2.0)]).astype(complex)
-    dec = wigner_decompose_into_invariants(wigner_form(k), trap)
+    dec = _decompose(planar_trap(1.0, 2.0, 0.0), np.diag([1.0, np.sqrt(2.0)]).astype(complex))
     assert dec.residual < 1e-10
     assert dec.coefficients[0] == pytest.approx(4.0 - np.sqrt(2.0), abs=1e-9)
     assert dec.coefficients[1] == pytest.approx(np.sqrt(2.0) - 2.0, abs=1e-9)
     assert abs(dec.coefficients[0]) == pytest.approx(2.585786, abs=1e-6)
     assert abs(dec.coefficients[1]) == pytest.approx(0.585786, abs=1e-6)
-    # closed forms agree with the least-squares route, including signs
-    assert dec.closed_form == pytest.approx(dec.coefficients, abs=1e-9)
+    # the closed forms agree with the least-squares route, including signs
+    assert dec.coefficients == pytest.approx(planar_wigner_weights(1.0, 2.0, 0.0), rel=1e-10)
 
 
 def test_wigner_decompose_planar_rotating():
-    trap = planar_trap(1.0, 2.0, 0.5)
-    psk = planar_stationary_K(1.0, 2.0, 1.0, 0.5)
-    dec = wigner_decompose_into_invariants(wigner_form(psk.matrix2()), trap)
-    assert dec.residual < 1e-8
-    assert dec.closed_form == pytest.approx(dec.coefficients, abs=1e-8)
+    # a planar trap has one window, between sqrt(min V) and sqrt(max V): S1
+    # below it and S2 above (no axial mode, so no S3); rates cover both
+    worst = 0.0
+    for vx, vy in [(1.0, 2.0), (2.0, 0.5), (0.3, 2.7), (1.0, 1.1)]:
+        lo, hi = np.sqrt(min(vx, vy)), np.sqrt(max(vx, vy))
+        for om in (0.0, 0.4 * lo, 0.9 * lo, 1.1 * hi, 2.0 * hi, 3.0 * hi):
+            k = planar_stationary_K(vx, vy, 1.0, om).matrix2()
+            dec = _decompose(planar_trap(vx, vy, om), k)
+            assert dec.residual < 1e-10
+            oracle = planar_wigner_weights(vx, vy, om)
+            worst = max(worst, float(np.max(np.abs(dec.coefficients - oracle) / np.abs(oracle))))
+    assert worst <= 1e-10
 
 
-def test_wigner_decompose_isotropic_skips_closed_form():
-    trap = planar_trap(1.5, 1.5, 0.0)
-    k = np.sqrt(1.5) * np.eye(2, dtype=complex)
-    dec = wigner_decompose_into_invariants(wigner_form(k), trap)
+def test_wigner_decompose_isotropic_planar_trap():
+    # G1 = 1.5 G0 on the static isotropic trap, so only k0 + 1.5 k1 is fixed
+    dec = _decompose(planar_trap(1.5, 1.5, 0.0), np.sqrt(1.5) * np.eye(2, dtype=complex))
     assert dec.residual < 1e-8
-    assert dec.closed_form is None
+    k0, k1 = dec.coefficients
+    assert k0 + 1.5 * k1 == pytest.approx(2.0 / np.sqrt(1.5), rel=1e-12)
 
 
 def test_wigner_decompose_3d_span():
     cfg = fig3_config(0.5)
-    k = stationary_K_from_modes(cfg).k
-    dec = wigner_decompose_into_invariants(wigner_form(k), cfg)
+    dec = _decompose(cfg, stationary_K_from_modes(cfg).k)
     assert dec.residual < 1e-6
     assert len(dec.coefficients) == 3
-    assert dec.closed_form is None
 
 
 def test_wigner_decompose_line_trap():
     # the static 1D ground state K = sqrt(v) has w = sqrt(2) G0
-    dec = wigner_decompose_into_invariants(
-        wigner_form(np.array([[np.sqrt(2.0)]], dtype=complex)), line_trap(2.0)
-    )
+    dec = _decompose(line_trap(2.0), np.array([[np.sqrt(2.0)]], dtype=complex))
     assert len(dec.coefficients) == 1
     assert dec.coefficients[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert dec.residual <= 1e-12
-    assert dec.closed_form is None
+
+
+@pytest.mark.parametrize("make", FIGURE_CONFIGS, ids=FIGURE_IDS)
+def test_wigner_decompose_at_large_rates(make):
+    # G_n grows as Omega^(2n): unscaled, lstsq's cutoff drops G1 and G2 and
+    # the residual reads 0.51 to 1.0
+    for om in (1e3, 1e4, 1e5, 1e6):
+        cfg = make(om)
+        dec = _decompose(cfg, stationary_K_from_modes(cfg).k)
+        assert dec.residual <= 1e-8, om
 
 
 # -- GaussianState container -------------------------------------------------

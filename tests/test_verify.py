@@ -20,12 +20,12 @@ from rototrap import invariants, verify
 
 from conftest import (
     CROSSING_DELTAS,
+    FIGURE_CONFIGS,
+    FIGURE_IDS,
     fig1_config,
     fig2_config,
-    fig3_config,
-    fig4_config,
     fig5_config,
-    fig6_config,
+    random_config,
     same_sign_crossing_rates,
 )
 
@@ -109,11 +109,7 @@ _ONCE_PER_CALL = {
 }
 
 
-@pytest.mark.parametrize(
-    "make",
-    [fig1_config, fig2_config, fig3_config, fig4_config, fig5_config, fig6_config],
-    ids=["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"],
-)
+@pytest.mark.parametrize("make", FIGURE_CONFIGS, ids=FIGURE_IDS)
 def test_stable_verify_builds_each_intermediate_once(monkeypatch, make):
     # one ModeSet serves eigen_cubic_crosscheck and every stable-branch check
     cfg = make()
@@ -122,6 +118,16 @@ def test_stable_verify_builds_each_intermediate_once(monkeypatch, make):
     assert report.ok, report.failed
     assert "wigner_invariant_span" in [c.name for c in report.checks]
     assert {name: len(c) for name, c in calls.items()} == _ONCE_PER_CALL
+
+
+@pytest.mark.parametrize("make", FIGURE_CONFIGS, ids=FIGURE_IDS)
+def test_stable_verify_builds_the_invariant_forms_once(monkeypatch, make):
+    # the Wigner span check expands over verify's own forms
+    calls = _count_calls(monkeypatch, invariants, "invariant_forms")
+    report = verify_config(make())
+    assert report.ok, report.failed
+    assert "wigner_invariant_span" in [c.name for c in report.checks]
+    assert len(calls) == 1
 
 
 def _mid_window(window):
@@ -221,3 +227,23 @@ def test_eigen_cubic_crosscheck_catches_a_frequency_off_by_1e9(monkeypatch):
     monkeypatch.setattr(verify, "eigenmodes", skewed)
     report = verify_config(fig1_config(1.0))
     assert "eigen_cubic_crosscheck" in {c.name for c in report.failed}
+
+
+# the figure traps and ten seeded random ones, for the resonance-rate runs
+_RESONANCE_TRAPS = [make() for make in FIGURE_CONFIGS] + [
+    random_config(np.random.default_rng(seed)) for seed in range(2200, 2210)
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", _RESONANCE_TRAPS, ids=list(FIGURE_IDS) + [f"seed{s}" for s in range(2200, 2210)]
+)
+def test_verify_passes_at_the_stable_gravity_resonances(cfg):
+    # at a resonance Omega^2 is a chi root, so Omega is a mode frequency
+    rep = resonant_frequencies(cfg)
+    for x, label in ((rep.omega1_sq, rep.region1), (rep.omega2_sq, rep.region2)):
+        if label is None or not label.startswith("S"):
+            continue
+        for scale in (1.0, 1.0 - 1e-9, 1.0 + 1e-9):
+            report = verify_config(cfg.with_omega(np.sqrt(x) * scale))
+            assert report.ok, (label, scale, report.failed)
