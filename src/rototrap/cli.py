@@ -291,8 +291,11 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(args.config)
-        _write_output(_DISPATCH[args.command](cfg, args), args.output)
+        # overflow and invalid values at extreme rates surface as the
+        # library's own errors; numpy's warnings would precede the JSON
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = _load_config(args.config)
+            _write_output(_DISPATCH[args.command](cfg, args), args.output)
     except RototrapError as exc:
         extra = {}
         if isinstance(exc, InvalidConfig) and exc.errors:

@@ -364,8 +364,15 @@ def _planar_gamma_candidates(vx, vy, omega):
             f"gamma discriminant {disc:.3e} < 0: no real squeezing parameters "
             "(exponential instability window)"
         )
+    # q = -(b + sign(b) s) / 2 adds terms of one sign, so the roots q/a and
+    # c/q keep their digits where -b +- s cancels (|b| ~ 4 W^3 dwarfs a c);
+    # listed in the order (-b - s)/(2a), (-b + s)/(2a)
     s = np.sqrt(disc)
-    return [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
+    if b >= 0.0:
+        q = -0.5 * (b + s)
+        return [q / a, c / q]
+    q = -0.5 * (b - s)
+    return [c / q, q / a]
 
 
 def planar_stationary_K(vx, vy, vz, omega):
@@ -386,8 +393,10 @@ def planar_stationary_K(vx, vy, vz, omega):
         raise ValueError("omega must be >= 0")
     best = None
     for gamma in _planar_gamma_candidates(vx, vy, omega):
-        a2 = vx - omega * omega + (gamma + omega) ** 2
-        b2 = vy - omega * omega + (gamma - omega) ** 2
+        # Vx - W^2 + (gamma + W)^2 and Vy - W^2 + (gamma - W)^2, without
+        # the W^2 that cancels
+        a2 = vx + gamma * (gamma + 2.0 * omega)
+        b2 = vy + gamma * (gamma - 2.0 * omega)
         if a2 <= 0 or b2 <= 0:
             continue
         alpha = float(np.sqrt(a2))

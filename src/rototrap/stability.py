@@ -10,7 +10,7 @@ cut the Omega axis into the regions S1, I1, S2, I2, S3.
 """
 
 import math
-from itertools import permutations
+from itertools import chain, permutations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -101,7 +101,7 @@ def solve_cubic(coeffs):
         return (3.0 * x + 2.0 * a) * x + b
 
     comp = np.array([[0.0, 0.0, -c], [1.0, 0.0, -b], [0.0, 1.0, -a]])
-    raw = np.linalg.eigvals(comp)
+    raw = np.linalg.eigvals(comp).tolist()
 
     def polish(x):
         d = dq(x)
@@ -111,16 +111,22 @@ def solve_cubic(coeffs):
                 return x2
         return x
 
+    # real roots are polished in Python floats, which round as numpy's do;
+    # a complex root keeps numpy's complex arithmetic, whose division does not
     real = [r.real for r in raw if r.imag == 0.0]
-    cplx = [r for r in raw if r.imag > 0.0]
+    cplx = [np.complex128(r) for r in raw if r.imag > 0.0]
     out = [complex(polish(r)) for r in real]
     for r in cplx:
         z = polish(r)
         out += [z, z.conjugate()]
+    out.sort(key=_real_imag)  # stable: equal roots keep their order
     out = np.array(out)
-    out = out[np.lexsort((out.imag, out.real))]
     out.setflags(write=False)
     return out
+
+
+def _real_imag(z):
+    return z.real, z.imag
 
 
 def default_classify_tol(coeffs):
@@ -139,7 +145,7 @@ def classify_chi_roots(roots, tol):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rts = list(roots)
+    rts = np.asarray(roots).tolist()
     real_idx = []
     for i, r in enumerate(rts):
         im_tol = max(tol, 1e-9 * (1.0 + abs(r)))
@@ -212,27 +218,30 @@ def planar_discriminant(vx, vy, omega):
 
 def cubic_discriminant(a, b, c):
     """Discriminant of chi^3 + a chi^2 + b chi + c (negative iff complex pair)."""
-    return (
-        18.0 * a * b * c
-        - 4.0 * a ** 3 * c
-        + a * a * b * b
-        - 4.0 * b ** 3
-        - 27.0 * c * c
-    )
+    return _disc_terms(a, b, c)[0]
+
+
+def _disc_terms(a, b, c):
+    """The cubic discriminant and the sizes of its five terms.
+
+    Elementwise on arrays and plain on floats, with one sequence of float
+    operations for both: products only, no powers, because numpy's power
+    loop and libm's pow round differently. So a grid flag and a bisection
+    step at the same rate agree bit for bit.
+    """
+    abc = 18.0 * a * b * c
+    a3c = 4.0 * (a * a * a) * c
+    b3 = 4.0 * (b * b * b)
+    cc = 27.0 * c * c
+    ab = a * b
+    disc = abc - a3c + a * a * b * b - b3 - cc
+    return disc, abs(abc), abs(a3c), ab * ab, abs(b3), cc
 
 
 def _disc_at(cfg, om):
-    co = char_poly_coeffs(cfg.with_omega(om))
-    d = cubic_discriminant(*co)
-    scale = max(
-        1.0,
-        abs(18.0 * co.a * co.b * co.c),
-        abs(4.0 * co.a ** 3 * co.c),
-        (co.a * co.b) ** 2,
-        abs(4.0 * co.b ** 3),
-        27.0 * co.c * co.c,
-    )
-    return d, scale
+    """(discriminant, term scale) at one rate, for bisection."""
+    disc, *terms = _disc_terms(*char_poly_coeffs(cfg.with_omega(om)))
+    return disc, max(1.0, *terms)
 
 
 def _default_bracket(cfg, om_plus):
@@ -251,6 +260,13 @@ def oscillatory_window(cfg):
     threshold, so double-root boundaries do not flicker. Raises
     BracketTooSmall when the discriminant is still negative at the
     bracket end, since then the window is not closed.
+
+    Cost: one char_poly_coeffs call per grid rate above Omega+ (about
+    1,660 on a typical trap) and one per bisection step, a shape the
+    benchmark's trace pins. Each rate's work in Python is that call and
+    its with_omega; the grid's discriminants, scales and flags are one
+    array expression over the collected coefficients. About 3.5 ms a call
+    (numpy 2.4, a 2-core x86-64 host).
     """
     _, om_plus = exponential_window(cfg)
     grid = _default_bracket(cfg, om_plus).values()
@@ -258,11 +274,13 @@ def oscillatory_window(cfg):
     if len(grid) == 0:
         return None
 
-    def is_neg(om):
-        d, scale = _disc_at(cfg, om)
-        return d < -1e-12 * scale
-
-    flags = np.array([is_neg(om) for om in grid])
+    coeffs = np.fromiter(
+        chain.from_iterable(char_poly_coeffs(cfg.with_omega(om)) for om in grid.tolist()),
+        float,
+        3 * len(grid),
+    ).reshape(-1, 3)
+    d, *terms = _disc_terms(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2])
+    flags = d < -1e-12 * np.maximum(1.0, np.maximum.reduce(terms))
     if not flags.any():
         return None
     if flags[-1]:
@@ -273,6 +291,10 @@ def oscillatory_window(cfg):
     last = first
     while last + 1 < len(flags) and flags[last + 1]:
         last += 1
+
+    def is_neg(om):
+        d, scale = _disc_at(cfg, om)
+        return d < -1e-12 * scale
 
     def bisect(lo, hi, want_neg_hi):
         # invariant: exactly one edge of [lo, hi] is inside the window
@@ -350,9 +372,8 @@ def region_of(cfg, omega):
     return region_map(cfg).locate(omega)
 
 
-# every branch order, in permutations() order so that argmin breaks a tie
-# toward the first order, as min() over the same sequence did
-_PERMS = np.array(list(permutations(range(3))))
+# every branch order, in permutations() order: a tie goes to the first
+_PERMS = tuple(permutations(range(3)))
 
 
 class ScanTable:
@@ -387,6 +408,22 @@ class ScanTable:
         return "\n".join([self.CSV_HEADER] + self.rows()) + "\n"
 
 
+def _closest_order(roots, pred):
+    """The order of roots nearest pred in summed squared distance.
+
+    dist[j][k] = |roots[j] - pred[k]|^2; an order's cost sums its three
+    entries left to right, and a strict < keeps the first of equal costs.
+    """
+    dist = (np.abs(roots[:, None] - pred) ** 2).tolist()
+    best, best_cost = None, None
+    for order in _PERMS:
+        j, k, m = order
+        cost = dist[j][0] + dist[k][1] + dist[m][2]
+        if best is None or cost < best_cost:
+            best, best_cost = order, cost
+    return list(best)
+
+
 def stability_scan(cfg, omega_grid):
     """Scan chi branches, classes, and regions over a grid of Omega.
 
@@ -394,6 +431,13 @@ def stability_scan(cfg, omega_grid):
     classified, and its roots are assigned to branches by minimizing the
     distance to a secant extrapolation of the previous two rows. Regions
     come from region_map(cfg), whose resolution does not depend on the grid.
+
+    Cost: one region_map, then per grid point one char_poly_coeffs and one
+    solve_cubic call, a shape the benchmark's trace pins. The solve's 3x3
+    eigvals takes most of a point's time; the branch match reads a 3x3
+    table of squared root-to-prediction distances and tries the 6 orders
+    in Python. About 12 ms for 200 points, 3.5 ms of it the region map
+    (numpy 2.4, a 2-core x86-64 host).
     """
     if isinstance(omega_grid, OmegaRange):
         grid = omega_grid.values()
@@ -418,8 +462,7 @@ def stability_scan(cfg, omega_grid):
             chis[0] = roots
         else:
             pred = chis[i - 1] if i == 1 else 2.0 * chis[i - 1] - chis[i - 2]
-            cand = roots[_PERMS]
-            chis[i] = cand[np.argmin(np.sum(np.abs(cand - pred) ** 2, axis=1))]
+            chis[i] = roots[_closest_order(roots, pred)]
         classes.append(label)
         regions.append(str(rmap.locate(om)))
 

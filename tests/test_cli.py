@@ -736,6 +736,21 @@ def test_calls_in_one_process_match_fresh_runs(capsys):
     assert codes == [1, 0, 0]
 
 
+@pytest.mark.parametrize("command, code", [("verify", 3), ("ground-state", 2)])
+def test_failure_at_an_extreme_rate_leaves_one_json_line(tmp_path, command, code):
+    # at Omega = 1e200 numpy overflows inside the command; its warnings must
+    # not reach stderr ahead of the error object
+    doc = load_fixture_doc("fig1")
+    doc["omega"] = 1e200
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _fresh_run(command, str(path))
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert set(json.loads(lines[0])) >= {"error", "message"}
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         ["rototrap", "boundaries", "fig1"],

@@ -388,6 +388,18 @@ def test_stationary_matches_planar_closed_form_s2():
     assert np.max(np.abs(state.k - planar_stationary_K(1.0, 2.0, 3.0, 2.0).matrix3())) < 1e-10
 
 
+@pytest.mark.parametrize("vx, vy", [(1.0, 2.0), (2.0, 0.5), (1.0, 1.1)])
+def test_planar_closed_form_matches_modes_at_fast_rates(vx, vy):
+    # S2 up to Omega = 1e3: |b| ~ 4 Omega^3 dwarfs a c in the gamma
+    # quadratic, and W^2 ~ 1e6 sits next to V in alpha^2 and beta^2
+    worst = 0.0
+    for om in np.geomspace(2.0, 1e3, 400):
+        closed = planar_stationary_K(vx, vy, 1.0, om).matrix3()
+        modes = stationary_K_from_modes(make_config([vx, vy, 1.0], [0.0, 0.0, 1.0], om)).k
+        worst = max(worst, float(np.max(np.abs(closed - modes))))
+    assert worst <= 1e-10
+
+
 def test_stationary_riccati_residual_in_all_stable_regions(rng):
     cfg = fig3_config(0.5)
     for region in ("S1", "S2", "S3"):
@@ -600,7 +612,7 @@ def test_wigner_decompose_planar_rotating():
     worst = 0.0
     for vx, vy in [(1.0, 2.0), (2.0, 0.5), (0.3, 2.7), (1.0, 1.1)]:
         lo, hi = np.sqrt(min(vx, vy)), np.sqrt(max(vx, vy))
-        for om in (0.0, 0.4 * lo, 0.9 * lo, 1.1 * hi, 2.0 * hi, 3.0 * hi):
+        for om in (0.0, 0.4 * lo, 0.9 * lo, 1.1 * hi, 2.0 * hi, 3.0 * hi, 10.0 * hi, 30.0 * hi):
             k = planar_stationary_K(vx, vy, 1.0, om).matrix2()
             dec = _decompose(planar_trap(vx, vy, om), k)
             assert dec.residual < 1e-10

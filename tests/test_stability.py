@@ -4,6 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from rototrap import (
     EXPONENTIAL,
@@ -31,13 +32,17 @@ from rototrap import (
 from rototrap import stability
 
 from conftest import (
+    FIGURE_CONFIGS,
+    FIGURE_IDS,
     V123,
     fig1_config,
     fig2_config,
     fig3_config,
+    hard_configs,
     random_axis,
     random_config,
     sample_region_omegas,
+    tilted_axis,
 )
 
 
@@ -244,6 +249,89 @@ def test_cubic_discriminant_signs():
     assert cubic_discriminant(-3.0, 4.0, -2.0) < 0
 
 
+# -- the window sweep against its per-rate oracle ----------------------------
+# oscillatory_window flags the whole bracket in one array expression; the
+# oracle is a per-rate loop, _disc_at at each grid rate, with the same
+# bisection. Both must give the same edges bit for bit.
+
+def _reference_window(cfg):
+    _, om_plus = exponential_window(cfg)
+    grid = stability._default_bracket(cfg, om_plus).values()
+    grid = grid[grid > om_plus * (1.0 + 1e-12)]
+
+    def is_neg(om):
+        d, scale = stability._disc_at(cfg, om)
+        return d < -1e-12 * scale
+
+    flags = [is_neg(om) for om in grid]
+    if not any(flags):
+        return None
+    if flags[-1]:
+        raise BracketTooSmall("discriminant still negative at the bracket end")
+    first = flags.index(True)
+    last = first
+    while flags[last + 1]:
+        last += 1
+
+    def bisect(lo, hi, want_neg_hi):
+        while hi - lo > 1e-10 * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if is_neg(mid) == want_neg_hi:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    lo_out = om_plus if first == 0 else grid[first - 1]
+    om_a = bisect(lo_out, grid[first], want_neg_hi=True)
+    om_b = bisect(grid[last], grid[last + 1], want_neg_hi=False)
+    return float(om_a), float(om_b)
+
+
+def _assert_sweep_matches_reference(cfg):
+    rmap = region_map(cfg)
+    assert (rmap.om_minus, rmap.om_plus) == exponential_window(cfg)
+    assert rmap.oscillatory == _reference_window(cfg)
+
+
+def test_disc_terms_on_arrays_match_the_scalar_form(rng):
+    coeffs = rng.standard_normal((500, 3)) * np.exp(rng.uniform(-8.0, 8.0, (500, 3)))
+    arrays = stability._disc_terms(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2])
+    for i, (a, b, c) in enumerate(coeffs.tolist()):
+        scalars = stability._disc_terms(a, b, c)
+        assert [float(t[i]) for t in arrays] == list(scalars)
+    assert np.array_equal(cubic_discriminant(*coeffs.T), arrays[0])
+
+
+# the benchmark chart's tilt sweep: 7 log-spaced tilts from 1e-5 to 0.1 rad,
+# then 4 more up to pi/2
+CHART_TILTS = list(np.logspace(-5.0, -1.0, 7)) + list(np.linspace(0.1, np.pi / 2.0, 5)[1:])
+
+
+@pytest.mark.parametrize("tilt", CHART_TILTS, ids=[f"{t:.3g}" for t in CHART_TILTS])
+def test_region_map_matches_per_rate_sweep_on_chart_tilts(tilt):
+    s, c = np.sin(tilt), np.cos(tilt)
+    for axis in ([s, 0.0, c], [0.0, s, c]):  # tilted toward x and toward y
+        _assert_sweep_matches_reference(make_config(V123, axis, 0.0))
+
+
+def test_region_map_matches_per_rate_sweep_on_axisymmetric_collapse(rng):
+    # V axisymmetric about n: the exponential window is a single point
+    traps = [(np.eye(3), np.ones(3) / np.sqrt(3.0)), (np.diag([1.0, 1.0, 2.0]), [0, 0, 1])]
+    for _ in range(8):
+        n = random_axis(rng)
+        v_par, v_perp = rng.uniform(0.2, 5.0, 2)
+        traps.append((v_perp * np.eye(3) + (v_par - v_perp) * np.outer(n, n), n))
+    for v, n in traps:
+        _assert_sweep_matches_reference(make_config(v, n, 0.0))
+
+
+@settings(max_examples=40)
+@given(cfg=hard_configs())
+def test_region_map_matches_per_rate_sweep_on_hard_configs(cfg):
+    _assert_sweep_matches_reference(cfg)
+
+
 # -- regions -----------------------------------------------------------------
 
 def test_region_of_z_axis_examples():
@@ -443,3 +531,89 @@ def test_scan_rejects_bad_grid():
         stability_scan(cfg, np.array([0.5]))
     with pytest.raises(ValueError):
         stability_scan(cfg, np.array([1.0, 0.5]))
+
+
+# -- the scan against its per-point oracle -----------------------------------
+# stability_scan sorts the roots in Python and matches branches over a 3x3
+# distance table; the oracle is a per-point loop with numpy scalars and
+# lexsort in the root solve and an argmin over the (6, 3) candidate array.
+# Both must write the same CSV byte for byte.
+
+_PERM_ROWS = np.array(list(permutations(range(3))))
+
+
+def _reference_solve_cubic(coeffs):
+    a, b, c = (float(x) for x in coeffs)
+
+    def q(x):
+        return ((x + a) * x + b) * x + c
+
+    def dq(x):
+        return (3.0 * x + 2.0 * a) * x + b
+
+    def polish(x):
+        d = dq(x)
+        if d != 0:
+            x2 = x - q(x) / d
+            if abs(q(x2)) < abs(q(x)):
+                return x2
+        return x
+
+    raw = np.linalg.eigvals(np.array([[0.0, 0.0, -c], [1.0, 0.0, -b], [0.0, 1.0, -a]]))
+    out = [complex(polish(r.real)) for r in raw if r.imag == 0.0]
+    for r in raw:
+        if r.imag > 0.0:
+            z = polish(r)
+            out += [z, z.conjugate()]
+    out = np.array(out)
+    return out[np.lexsort((out.imag, out.real))]
+
+
+def _reference_scan_csv(cfg, grid):
+    grid = grid.values()
+    rmap = region_map(cfg)
+    chis = np.empty((len(grid), 3), dtype=complex)
+    classes, regions = [], []
+    for i, om in enumerate(grid):
+        coeffs = char_poly_coeffs(cfg.with_omega(om))
+        roots = _reference_solve_cubic(coeffs)
+        try:
+            label = classify_chi_roots(roots, default_classify_tol(coeffs)).label
+        except AmbiguousClassification as amb:
+            label = (EXPONENTIAL if amb.side == "exponential" else OSCILLATORY) + "*"
+        if i == 0:
+            chis[0] = roots
+        else:
+            pred = chis[i - 1] if i == 1 else 2.0 * chis[i - 1] - chis[i - 2]
+            cand = roots[_PERM_ROWS]
+            chis[i] = cand[np.argmin(np.sum(np.abs(cand - pred) ** 2, axis=1))]
+        classes.append(label)
+        regions.append(str(rmap.locate(om)))
+    return ScanTable(grid, chis, classes, regions).to_csv()
+
+
+def test_solve_cubic_matches_its_per_root_reference_bit_for_bit(rng):
+    draws = [(-6.0, 11.0, -6.0), (-4.0, 5.0, -2.0), (-3.0, 3.0, -1.0), (0.0, 0.0, 0.0)]
+    draws += [tuple(rng.uniform(-5.0, 5.0, size=3)) for _ in range(300)]
+    draws += [tuple(rng.integers(-3, 4, size=3).astype(float)) for _ in range(100)]
+    for make in FIGURE_CONFIGS:
+        draws += [tuple(char_poly_coeffs(make(om))) for om in np.linspace(0.0, 4.0, 41)]
+    for coeffs in draws:
+        assert solve_cubic(coeffs).tobytes() == _reference_solve_cubic(coeffs).tobytes()
+
+
+@pytest.mark.parametrize("make", FIGURE_CONFIGS, ids=FIGURE_IDS)
+def test_scan_matches_per_point_reference_on_figures(make):
+    cfg = make()
+    grid = OmegaRange(0.0, 4.0, 2000)
+    assert stability_scan(cfg, grid).to_csv() == _reference_scan_csv(cfg, grid)
+
+
+def test_scan_matches_per_point_reference_across_a_narrow_window():
+    # the tilt-1e-5 window, about [2.9617480, 2.9617651], with half its
+    # width on either side: every point sits near a double root
+    cfg = make_config(V123, tilted_axis(1e-5), 0.0)
+    grid = OmegaRange(2.961739397892593, 2.961773705903661, 101)
+    csv = stability_scan(cfg, grid).to_csv()
+    assert csv == _reference_scan_csv(cfg, grid)
+    assert "OscillatoryInstability" in csv

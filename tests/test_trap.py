@@ -277,11 +277,30 @@ def test_with_omega_preserves_potential_and_axis():
         ("0.5", InvalidConfig),
         (True, InvalidConfig),
         (np.bool_(True), InvalidConfig),
+        # float rates take a fast path; it must refuse what the full check does
+        pytest.param(np.float64(np.nan), InvalidConfig, id="float64-nan"),
+        pytest.param(np.float64(np.inf), InvalidConfig, id="float64-inf"),
+        pytest.param(np.float64(-np.inf), InvalidConfig, id="float64-minus-inf"),
+        pytest.param(-1e-300, NegativeOmega, id="float-minus-1e-300"),
+        pytest.param(np.float64(-1e-300), NegativeOmega, id="float64-minus-1e-300"),
+        pytest.param(np.bool_(False), InvalidConfig, id="bool_-False"),
+        pytest.param(False, InvalidConfig, id="False"),
     ],
 )
 def test_with_omega_checks_the_rate(omega, error):
     with pytest.raises(error):
         fig1_config(1.0).with_omega(omega)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [0.0, -0.0, 5e-324, 0.5, np.float64(0.5), 1e300, np.float32(0.5), 2, np.int64(3)],
+    ids=["0", "minus-0", "5e-324", "0.5", "float64", "1e300", "float32", "int", "int64"],
+)
+def test_with_omega_accepts_what_the_constructor_accepts(omega):
+    cfg = fig1_config(1.0).with_omega(omega)
+    assert type(cfg.omega) is float
+    assert cfg.omega == make_config(V123, cfg.axis, omega).omega == float(omega)
 
 
 def test_validate_config_idempotent():
