@@ -67,7 +67,6 @@ from .gravity import (
 from .invariants import (
     AmplitudeDecomposition,
     InvarianceResiduals,
-    QuadraticInvariant,
     amplitude_energies,
     build_invariant,
     completed_third_invariant,
@@ -75,12 +74,10 @@ from .invariants import (
     invariance_nullspace,
     invariance_residuals,
     invariant_forms,
-    quadratic_form,
     trajectory_drift,
 )
 from .modes import (
     ModeSet,
-    ModeVector,
     PlanarFrequencies,
     eigenmodes,
     krein_sign,

@@ -1,7 +1,9 @@
 """Quadratic constants of motion of the rotating trap.
 
-A quadratic form C = p.T p / 2 + r.W p + r.U r / 2 is conserved along
-dX/dt = M X exactly when the matrix triple satisfies
+An invariant is its symmetric (2d, 2d) form G, with C(X) = X.G X / 2 for
+X = (r, p). Its rr, rp and pp blocks U, W and T spell C out as
+C = p.T p / 2 + r.W p + r.U r / 2, and C is conserved along dX/dt = M X
+exactly when the triple (T, W, U) satisfies
 
     0 = [Wm, T] + W + W^T,
     0 = [Wm, U] - W V - V W^T,
@@ -26,14 +28,12 @@ from .errors import InInstabilityRegion, NumericError, WrongDimension
 from .modes import select_positive_signature_modes, symplectic_form
 
 __all__ = [
-    "QuadraticInvariant",
     "InvarianceResiduals",
     "AmplitudeDecomposition",
     "build_invariant",
     "invariant_forms",
     "invariance_residuals",
     "evaluate_invariant",
-    "quadratic_form",
     "trajectory_drift",
     "amplitude_energies",
     "invariance_nullspace",
@@ -41,43 +41,23 @@ __all__ = [
 ]
 
 
-class QuadraticInvariant:
-    """Matrix triple (T, W, U) of a conserved quadratic form.
+def _triple_form(t, u, w):
+    """The form G = [[U, W], [W^T, T]] of a hand-built triple.
 
-    T and U must be symmetric (within 1e-12 relative to their scale); W is
-    unconstrained. The label records which closed form or construction the
-    triple came from.
+    T and U must be symmetric (within 1e-12 relative to their scale), and
+    enter G symmetrized; W is unconstrained.
     """
+    for name, mat in (("T", t), ("U", u)):
+        asym = float(np.max(np.abs(mat - mat.T)))
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
+            raise ValueError(f"{name} matrix asymmetry {asym:.3e} too large")
+    return np.block([[0.5 * (u + u.T), w], [w.T, 0.5 * (t + t.T)]])
 
-    def __init__(self, t_mat, w_mat, u_mat, label):
-        t_mat = np.asarray(t_mat, dtype=float)
-        w_mat = np.asarray(w_mat, dtype=float)
-        u_mat = np.asarray(u_mat, dtype=float)
-        for name, mat in (("T", t_mat), ("U", u_mat)):
-            asym = float(np.max(np.abs(mat - mat.T)))
-            if asym > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
-                raise ValueError(f"{name} matrix asymmetry {asym:.3e} too large")
-        self.t_mat = 0.5 * (t_mat + t_mat.T)
-        self.w_mat = w_mat
-        self.u_mat = 0.5 * (u_mat + u_mat.T)
-        self.label = str(label)
-        for m in (self.t_mat, self.w_mat, self.u_mat):
-            m.setflags(write=False)
 
-    @property
-    def dim(self):
-        return self.t_mat.shape[0]
-
-    def to_json_obj(self):
-        return {
-            "label": self.label,
-            "t_mat": self.t_mat.tolist(),
-            "w_mat": self.w_mat.tolist(),
-            "u_mat": self.u_mat.tolist(),
-        }
-
-    def __repr__(self):
-        return f"QuadraticInvariant({self.label}, dim={self.dim})"
+def _blocks(g):
+    """The pp, rr and rp blocks (T, U, W) of a form G."""
+    d = len(g) // 2
+    return g[d:, d:], g[:d, :d], g[:d, d:]
 
 
 def _planar_axis_index(cfg):
@@ -98,11 +78,11 @@ def _planar_axis_index(cfg):
 
 
 def build_invariant(label, cfg):
-    """Closed-form invariant triple for a config.
+    """Closed-form invariant of a config, as its form G.
 
-    C1 = (I, Wm, V) in any dimension. C2_2D applies to the planar problem
-    (a 2D config, or a 3D one rotating about a principal axis that V
-    leaves decoupled); anything else raises WrongDimension. C2_3D is the
+    C1 has (T, W, U) = (I, Wm, V) in any dimension. C2_2D applies to the
+    planar problem (a 2D config, or a 3D one rotating about a principal
+    axis that V leaves decoupled); anything else raises WrongDimension. C2_3D is the
     3D closed form. These hand-derived forms are the oracle for
     invariant_forms: C1 = G0, C2_3D = G1 and C2_2D = G1 - 3 Omega^2 G0.
     """
@@ -110,7 +90,7 @@ def build_invariant(label, cfg):
     wm = cfg.omega_matrix
     dim = v.shape[0]
     if label == "C1":
-        return QuadraticInvariant(np.eye(dim), wm, v, "C1")
+        return _triple_form(np.eye(dim), v, wm)
     if label == "C2_2D":
         if dim != 2 and (dim != 3 or _planar_axis_index(cfg) is None):
             raise WrongDimension(
@@ -121,7 +101,7 @@ def build_invariant(label, cfg):
         t = v
         w = wm @ v + 2.0 * v @ wm + 2.0 * w3
         u = v @ v + v @ wm @ wm - wm @ v @ wm
-        return QuadraticInvariant(t, w, u, "C2_2D")
+        return _triple_form(t, u, w)
     if dim != 3:
         raise WrongDimension(f"{label} is defined for 3D configs")
     o2 = wm @ wm
@@ -129,25 +109,24 @@ def build_invariant(label, cfg):
         t = v - 3.0 * o2
         w = wm @ v + 2.0 * v @ wm - wm @ o2
         u = v @ v - v @ o2 - o2 @ v - wm @ v @ wm
-        return QuadraticInvariant(t, w, u, "C2_3D")
+        return _triple_form(t, u, w)
     raise ValueError(f"unknown invariant label {label!r}")
 
 
 def invariant_forms(cfg):
-    """The d independent invariants G_n = H (-M^2)^n, labelled G0 .. G{d-1}.
+    """The d independent invariants G_n = H (-M^2)^n, as the list G0 .. G{d-1}.
 
     H = -J M is the symmetric Hamiltonian matrix of cfg.dynamics_matrix,
-    so this serves 1D, 2D and 3D traps alike. U, W and T are the rr, rp
-    and pp blocks of the symmetrised G_n; G0 is C1 exactly.
+    so this serves 1D, 2D and 3D traps alike. Each G_n is symmetrised
+    exactly; G0 is C1 exactly.
     """
     m = cfg.dynamics_matrix
     d = m.shape[0] // 2
     neg_m2 = -(m @ m)
     g = np.vstack([-m[d:], m[:d]])
     forms = []
-    for n in range(d):
-        gs = 0.5 * (g + g.T)
-        forms.append(QuadraticInvariant(gs[d:, d:], gs[:d, d:], gs[:d, :d], f"G{n}"))
+    for _ in range(d):
+        forms.append(0.5 * (g + g.T))
         g = g @ neg_m2
     return forms
 
@@ -175,42 +154,30 @@ def _defining_equations(t, u, w, cfg):
     )
 
 
-def invariance_residuals(inv, cfg):
-    """How far a triple is from solving the defining equations."""
-    eqs = _defining_equations(inv.t_mat, inv.u_mat, inv.w_mat, cfg)
+def invariance_residuals(g, cfg):
+    """How far a form's triple is from solving the defining equations."""
+    eqs = _defining_equations(*_blocks(g), cfg)
     return InvarianceResiduals(*(float(np.max(np.abs(e))) for e in eqs))
 
 
-def evaluate_invariant(inv, x):
-    """C(X) = p.T p / 2 + r.W p + r.U r / 2 for X = (r, p)."""
+def evaluate_invariant(g, x):
+    """C(X) = p.T p / 2 + r.W p + r.U r / 2 for X = (r, p), read off G's blocks."""
     x = np.asarray(x)
-    d = inv.dim
+    d = len(g) // 2
+    t, u, w = _blocks(g)
     r = np.real(x[:d])
     p = np.real(x[d:])
-    return float(
-        0.5 * p @ inv.t_mat @ p + r @ inv.w_mat @ p + 0.5 * r @ inv.u_mat @ r
-    )
+    return float(0.5 * p @ t @ p + r @ w @ p + 0.5 * r @ u @ r)
 
 
-def quadratic_form(inv):
-    """The 2d x 2d symmetric matrix G with C(X) = X.G X / 2."""
-    d = inv.dim
-    g = np.zeros((2 * d, 2 * d))
-    g[:d, :d] = inv.u_mat
-    g[:d, d:] = inv.w_mat
-    g[d:, :d] = inv.w_mat.T
-    g[d:, d:] = inv.t_mat
-    return g
-
-
-def trajectory_drift(inv, traj):
+def trajectory_drift(g, traj):
     """max_t |C(t) - C(0)| / (1 + |C(0)|) along a homogeneous trajectory.
 
-    C(t) = X.G X / 2 with G = quadratic_form(inv), for all steps at once;
-    evaluate_invariant is the per-point reference.
+    C(t) = X.G X / 2 for all steps at once; evaluate_invariant is the
+    per-point reference.
     """
     x = np.real(traj.states)
-    vals = 0.5 * np.einsum("ti,ti->t", x @ quadratic_form(inv), x)
+    vals = 0.5 * np.einsum("ti,ti->t", x @ g, x)
     return float(np.max(np.abs(vals - vals[0])) / (1.0 + abs(vals[0])))
 
 
@@ -237,15 +204,14 @@ def amplitude_energies(modes, x):
     otherwise).
     """
     x = np.asarray(x, dtype=float)
-    sel = select_positive_signature_modes(modes)
-    xb = np.column_stack([mv.xbar for mv in sel])
-    jm = symplectic_form(modes[0].dim)
+    om, xb = select_positive_signature_modes(modes)
+    jm = symplectic_form(len(xb) // 2)
     try:
         chol = np.linalg.cholesky(-1j * (xb.conj().T @ jm @ xb))
     except np.linalg.LinAlgError as exc:
         raise InInstabilityRegion(f"Krein Gram matrix of the selected modes: {exc}") from exc
     amps = tuple(np.linalg.solve(chol, -1j * (xb.conj().T @ (jm @ x))).tolist())
-    omegas = tuple(float(mv.omega.real) for mv in sel)
+    omegas = tuple(om.real.tolist())
     energies = tuple(om * abs(a) ** 2 for om, a in zip(omegas, amps))
     return AmplitudeDecomposition(energies, omegas, amps)
 
@@ -300,27 +266,48 @@ def invariance_nullspace(cfg):
     return null_dim, basis, sv
 
 
+_GAP_REL_THRESHOLD = 5e-4
+
+
 def completed_third_invariant(cfg):
-    """Third 3D invariant, completed blind from the null space.
+    """Third 3D invariant, completed blind from the null space, as its form G.
 
     The independent route to G2 of invariant_forms: take the null space of
     the defining equations and extract its component orthogonal to the
     span of C1 and C2_3D. The result lies in span{G0, G1, G2} and is
-    normalized to unit vector length with a deterministic sign.
+    normalized to unit (T, U, W) vector length with a deterministic sign.
+
+    Raises NumericError unless the null dimension is 3, and unless the
+    fourth-smallest singular value sv[-4] is at least _GAP_REL_THRESHOLD =
+    5e-4 of the largest. The threshold comes from the sin-theta bound of
+    Davis-Kahan and Wedin: the computed null space is the exact one turned
+    by an angle of at most |E| / sv[-4], with E the backward error of
+    forming and decomposing the 45 x 27 system. On sampled near-degenerate
+    traps (diagonal V, tilt under 1e-4) the completion's distance from the
+    span times sv[-4] / sv[0] reached 3.8e-14, so |E| <~ 200 eps sv[0], and
+    an angle under the 1e-10 to which the completion must lie in the span
+    asks sv[-4] >= 200 eps sv[0] / 1e-10 = 4.4e-4 sv[0]. A smaller gap means
+    a fourth near-invariant: an axis tilted close to a principal axis of an
+    axis-degenerate V, or a rate close to a mode crossing. Generic random
+    traps and fig1, fig3 .. fig6 sit at 2e-3 or more; fig2's trap dips
+    below 5e-4 within about 1 % of its two crossings (Omega = 0.4775 and
+    2.9618).
     """
-    null_dim, basis, _ = invariance_nullspace(cfg)
+    null_dim, basis, sv = invariance_nullspace(cfg)
     if null_dim != 3:
         raise NumericError(
             f"invariance equations have null dimension {null_dim}, expected 3 "
             "(degenerate config?)"
         )
-    c1 = build_invariant("C1", cfg)
-    c2 = build_invariant("C2_3D", cfg)
+    gap = sv[-4] / sv[0]
+    if gap < _GAP_REL_THRESHOLD:
+        raise NumericError(
+            f"invariance equations have a fourth near-null direction "
+            f"(sv[-4]/sv[0] = {gap:.3e} < {_GAP_REL_THRESHOLD:.0e}): "
+            "the null space is not resolved"
+        )
     known = np.column_stack(
-        [
-            _vec_triple(c1.t_mat, c1.u_mat, c1.w_mat),
-            _vec_triple(c2.t_mat, c2.u_mat, c2.w_mat),
-        ]
+        [_vec_triple(*_blocks(build_invariant(label, cfg))) for label in ("C1", "C2_3D")]
     )
     q, _ = np.linalg.qr(known)
     proj = basis - (basis @ q) @ q.T
@@ -330,6 +317,4 @@ def completed_third_invariant(cfg):
     if vec[imax] < 0:
         vec = -vec
     t, u, w = _unvec_triple(vec, 3)
-    return QuadraticInvariant(
-        0.5 * (t + t.T), w, 0.5 * (u + u.T), "C3_completed"
-    )
+    return _triple_form(0.5 * (t + t.T), 0.5 * (u + u.T), w)

@@ -3,8 +3,11 @@
 Modes are solutions X(t) = Xbar exp(i omega t), so M Xbar = i omega Xbar:
 eigenvalues of M are reported as frequencies omega = lambda / i. M is real,
 so omega and -conj(omega) are both frequencies, and omega^2 reproduces the
-chi roots of the stability cubic. The planar closed forms (rotation about a
-principal axis) are kept as an independent route for cross-validation.
+chi roots of the stability cubic. A set of modes is plain arrays, a ModeSet
+(omegas, vectors) whose vectors hold one mode per column, so the consumers
+(the stationary state, the energy split) take position and momentum blocks
+of one matrix. The planar closed forms (rotation about a principal axis)
+are kept as an independent route for cross-validation.
 
 The symplectic form selects modes: on a stable trap exactly d of the 2d
 modes have real frequency and positive Krein sign -i Xbar^dag J Xbar, the
@@ -22,7 +25,6 @@ from .errors import DefectiveMatrix, DegenerateModeVector, InInstabilityRegion
 from .numerics import eig_general
 
 __all__ = [
-    "ModeVector",
     "ModeSet",
     "PlanarFrequencies",
     "eigenmodes",
@@ -42,66 +44,34 @@ def symplectic_form(dim=3):
     return j
 
 
-def _normalize_largest(x):
-    i = int(np.argmax(np.abs(x)))
-    if x[i] == 0:
-        raise DegenerateModeVector("mode vector is identically zero")
-    return x / x[i]
+class ModeSet(NamedTuple):
+    """Frequencies of a set of normal modes and their phase-space vectors.
 
-
-class ModeVector:
-    """Frequency and phase-space eigenvector of one normal mode.
-
-    By default the vector is scaled so its largest-magnitude component is
-    exactly 1 (zero phase), which fixes the free normalization
-    deterministically; pass normalize=False to keep a caller's scaling.
+    Column k of vectors, a (2d, n) complex array, is the mode of frequency
+    omegas[k]. Being a tuple, a ModeSet iterates over these two fields, not
+    over its modes.
     """
 
-    def __init__(self, omega, xbar, normalize=True):
-        self.omega = complex(omega)
-        xbar = np.asarray(xbar, dtype=complex)
-        self.xbar = _normalize_largest(xbar) if normalize else xbar
-        self.xbar.setflags(write=False)
-
-    @property
-    def dim(self):
-        return len(self.xbar) // 2
-
-    def __repr__(self):
-        return f"ModeVector(omega={self.omega:.6g}, dim={self.dim})"
-
-
-class ModeSet:
-    """The 2d modes of a d-dimensional trap, sorted by (|omega|, descending real part)."""
-
-    def __init__(self, modes):
-        self.modes = list(modes)
-
-    @property
-    def omegas(self):
-        return np.array([m.omega for m in self.modes])
-
-    def __len__(self):
-        return len(self.modes)
-
-    def __getitem__(self, i):
-        return self.modes[i]
+    omegas: np.ndarray
+    vectors: np.ndarray
 
     def to_json_obj(self):
-        out = []
-        for m in self.modes:
-            out.append(
-                {
-                    "omega_re": m.omega.real,
-                    "omega_im": m.omega.imag,
-                    "xbar": [{"re": z.real, "im": z.imag} for z in m.xbar],
-                }
-            )
-        return out
+        return [
+            {
+                "omega_re": om.real,
+                "omega_im": om.imag,
+                "xbar": [{"re": z.real, "im": z.imag} for z in col],
+            }
+            for om, col in zip(self.omegas.tolist(), self.vectors.T.tolist())
+        ]
 
 
 def eigenmodes(m):
     """Full mode decomposition of a dynamics matrix.
+
+    Returns the 2d modes sorted by (|omega|, descending real part),
+    each column scaled so its largest-magnitude entry is exactly 1 (zero
+    phase), which fixes the free normalization deterministically.
 
     Raises DefectiveMatrix when the eigenvector matrix has condition number
     at or above 1e12, which happens exactly at window boundaries where M
@@ -116,48 +86,46 @@ def eigenmodes(m):
             f"eigenvector matrix condition {cond:.3e} >= 1e12 (degenerate spectrum)"
         )
     omegas = lam / 1j
-    order = sorted(
-        range(len(omegas)),
-        key=lambda i: (abs(omegas[i]), -omegas[i].real, -omegas[i].imag),
-    )
-    return ModeSet(ModeVector(omegas[i], vec[:, i]) for i in order)
+    cols = np.arange(len(omegas))
+    vec = vec / vec[np.argmax(np.abs(vec), axis=0), cols]
+    order = np.lexsort((-omegas.imag, -omegas.real, np.abs(omegas)))
+    return ModeSet(omegas[order], np.ascontiguousarray(vec[:, order]))
 
 
-def krein_sign(mode_or_xbar):
-    """Real part of -i Xbar^dag J Xbar.
+def krein_sign(xbar):
+    """Real part of -i Xbar^dag J Xbar, one value per column of a (2d, k) block.
 
-    For a mode with real frequency this quantity is real and nonzero, and
-    the modes at omega and -omega carry opposite signs; it degenerates to
-    zero for growing/decaying modes.
+    A single (2d,) vector gives a single value. For a mode with real
+    frequency this quantity is real and nonzero, and the modes at omega and
+    -omega carry opposite signs; it degenerates to zero for growing/decaying
+    modes.
     """
-    xbar = mode_or_xbar.xbar if isinstance(mode_or_xbar, ModeVector) else mode_or_xbar
     xbar = np.asarray(xbar, dtype=complex)
     j = symplectic_form(len(xbar) // 2)
-    return float(np.real(-1j * (np.conj(xbar) @ (j @ xbar))))
+    return np.real(-1j * np.sum(np.conj(xbar) * (j @ xbar), axis=0))
 
 
 def select_positive_signature_modes(modes):
-    """The modes with real frequency and positive Krein sign.
+    """The modes with real frequency and positive Krein sign, as a ModeSet.
 
-    Returns them ordered by |omega| ascending. A stable d-dimensional trap
-    has exactly d such modes, also where two of them share a frequency. Any
-    other count raises InInstabilityRegion, which happens exactly inside the
-    instability windows, where frequencies leave the real axis and their
-    Krein signs vanish.
+    Returns them ordered by |omega| ascending, their vectors one
+    C-contiguous (2d, d) block. A stable d-dimensional trap has exactly d
+    such modes, also where two of them share a frequency. Any other count
+    raises InInstabilityRegion, which happens exactly inside the instability
+    windows, where frequencies leave the real axis and their Krein signs
+    vanish.
     """
-    sel = [
-        mv
-        for mv in modes
-        if abs(mv.omega.imag) <= 1e-9 * (1.0 + abs(mv.omega)) and krein_sign(mv) > 0
-    ]
-    dim = modes[0].dim
+    om, vec = modes
+    real = np.abs(om.imag) <= 1e-9 * (1.0 + np.abs(om))
+    sel = np.flatnonzero(real & (krein_sign(vec) > 0))
+    dim = len(vec) // 2
     if len(sel) != dim:
         raise InInstabilityRegion(
             f"{len(sel)} modes have real frequency and positive symplectic sign, "
             f"a stable trap has {dim}: unstable config"
         )
-    sel.sort(key=lambda mv: abs(mv.omega))
-    return sel
+    sel = sel[np.argsort(np.abs(om[sel]), kind="stable")]
+    return ModeSet(om[sel], np.ascontiguousarray(vec[:, sel]))
 
 
 class PlanarFrequencies(NamedTuple):
@@ -180,7 +148,8 @@ def planar_frequencies(vx, vy, omega):
 def planar_mode_vector(omega_char, vx, omega):
     """In-plane mode vector (x, y, px, py) at characteristic frequency omega_char.
 
-    Components are, up to normalization,
+    Scaled, as eigenmodes scales its columns, so that its largest-magnitude
+    component is exactly 1. Components are, up to that normalization,
 
         (2 i w W, Vx - w^2 - W^2, W (W^2 - w^2 - Vx), i w (W^2 - w^2 + Vx))
 
@@ -206,4 +175,4 @@ def planar_mode_vector(omega_char, vx, omega):
         raise DegenerateModeVector(
             "planar mode vector vanishes (static trap at its own principal frequency)"
         )
-    return ModeVector(w, raw)
+    return raw / raw[np.argmax(np.abs(raw))]

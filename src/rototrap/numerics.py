@@ -341,13 +341,13 @@ def eig_general(m):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     scale = max(1.0, float(np.linalg.norm(m)))
-    for i in range(len(lam)):
-        v = vec[:, i]
-        res = np.linalg.norm(m @ v - lam[i] * v)
-        if res > 1e-9 * scale * np.linalg.norm(v):
-            raise ConvergenceFailure(
-                f"eigenpair {i} residual {res:.3e} exceeds tolerance"
-            )
+    res = np.linalg.norm(m @ vec - vec * lam, axis=0)
+    bad = np.flatnonzero(res > 1e-9 * scale * np.linalg.norm(vec, axis=0))
+    if bad.size:
+        i = int(bad[0])
+        raise ConvergenceFailure(
+            f"eigenpair {i} residual {res[i]:.3e} exceeds tolerance"
+        )
     return lam, vec
 
 

@@ -8,8 +8,9 @@ Riccati equation (hbar = m = 1, W the rotation block)
 
 which linearizes through K = -i N D^{-1} with dD/dt = N - W D and
 dN/dt = -V D - W N. Stationary K is assembled from classical normal modes:
-stack the position parts of three selected modes into a matrix script-D and
-the momentum parts into script-N, then K = -i script-N script-D^{-1}.
+the selected modes are the d columns of one (2d, d) block, whose position
+rows form the matrix script-D and momentum rows script-N, and
+K = -i script-N script-D^{-1}.
 
 Sign convention, load-bearing: modes evolve as exp(+i omega t), so the
 eigenvalue problem reads M Xbar = i omega Xbar. The opposite convention
@@ -23,9 +24,9 @@ eigenspace. Inside instability windows no choice makes Re K positive
 definite, so the classical and quantum stability regions coincide.
 
 A stationary state's Wigner exponent depends only on constants of motion:
-wigner_decompose_into_invariants expands it over the forms it is given,
-invariant_forms' G0 .. G{d-1} in 1D, 2D and 3D alike. The planar closed
-forms (planar_stationary_K) are an independent route, for tests.
+wigner_decompose_into_invariants expands it over the symmetric forms G it
+is given, invariant_forms' G0 .. G{d-1} in 1D, 2D and 3D alike. The planar
+closed forms (planar_stationary_K) are an independent route, for tests.
 """
 
 from typing import NamedTuple, Tuple
@@ -43,7 +44,6 @@ from .errors import (
     SingularD,
     SingularModeMatrix,
 )
-from .invariants import quadratic_form
 from .modes import eigenmodes, select_positive_signature_modes
 from .numerics import (
     _check_step_bound,
@@ -303,12 +303,10 @@ def stationary_K_from_modes(cfg, modes=None):
     no positive-definite Re K exists.
     """
     ms = eigenmodes(cfg.dynamics_matrix) if modes is None else modes
-    dim = ms[0].dim
-    selected = select_positive_signature_modes(ms)
-    dmat = np.column_stack([mv.xbar[:dim] for mv in selected])
-    nmat = np.column_stack([mv.xbar[dim:] for mv in selected])
+    _, xb = select_positive_signature_modes(ms)
+    d = len(xb) // 2
     try:
-        k = -1j * (nmat @ cinv3(dmat))
+        k = -1j * (xb[d:] @ cinv3(xb[:d]))
     except NearSingular as exc:
         raise SingularModeMatrix(f"mode position matrix singular: {exc}") from exc
     state = GaussianState(k)
@@ -476,7 +474,7 @@ def wigner_decompose_into_invariants(wf, forms):
     against the source expressions.
     """
     w = wf.w.reshape(-1)
-    a = np.column_stack([quadratic_form(g).reshape(-1) for g in forms])
+    a = np.column_stack([g.reshape(-1) for g in forms])
     norms = np.linalg.norm(a, axis=0)
     a = a / norms
     coef, *_ = np.linalg.lstsq(a, w, rcond=None)

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 
 from rototrap import (
-    QuadraticInvariant,
     eigenmodes,
     exponential_window,
     krein_sign,
@@ -19,6 +18,7 @@ from rototrap import (
     planar_stationary_K,
     region_map,
 )
+from rototrap.invariants import _triple_form
 
 # property tests draw the same examples on every run and keep no database.
 # Drawing a config builds its region map (about 50 ms), so the slow-draw
@@ -147,12 +147,10 @@ def same_sign_crossing_rates(vals, n):
         lo, hi = exponential_window(cfg)
         if lo <= cfg.omega <= hi:
             continue
-        ms = eigenmodes(cfg.with_omega(cfg.omega * (1.0 + 1e-3)).dynamics_matrix)
-        near = sorted(
-            (mv for mv in ms if mv.omega.real > 0),
-            key=lambda mv: abs(mv.omega - np.sqrt(vn)),
-        )
-        if krein_sign(near[0]) * krein_sign(near[1]) > 0:
+        om, vec = eigenmodes(cfg.with_omega(cfg.omega * (1.0 + 1e-3)).dynamics_matrix)
+        pos = np.flatnonzero(om.real > 0)
+        near = pos[np.argsort(np.abs(om[pos] - np.sqrt(vn)), kind="stable")[:2]]
+        if np.prod(krein_sign(vec[:, near])) > 0:
             rates.append(cfg.omega)
     return rates
 
@@ -181,7 +179,7 @@ def planar_wigner_weights(vx, vy, omega):
 
 
 def displayed_c3(cfg):
-    """The third invariant's closed form exactly as displayed, for a 3D config.
+    """The form G of the third invariant's closed form, exactly as displayed (3D).
 
     It does not solve the defining equations; the tests keep that on record.
     """
@@ -223,7 +221,7 @@ def displayed_c3(cfg):
         + 6.0 * v @ wm @ v
         + 6.0 * v @ v @ wm
     )
-    return QuadraticInvariant(t, w, u, "C3_displayed")
+    return _triple_form(t, u, w)
 
 
 @st.composite

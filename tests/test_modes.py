@@ -31,8 +31,8 @@ def test_static_trap_spectrum_and_vectors():
     assert np.allclose(sorted(ms.omegas.real), expected, atol=1e-9)
     assert np.allclose(ms.omegas.imag, 0.0, atol=1e-9)
     # uncoupled oscillators: each eigenvector lives on one axis and its momentum
-    for mv in ms:
-        support = np.flatnonzero(np.abs(mv.xbar) > 1e-9)
+    for col in ms.vectors.T:
+        support = np.flatnonzero(np.abs(col) > 1e-9)
         assert len(support) == 2
         assert support[1] - support[0] == 3
 
@@ -40,11 +40,12 @@ def test_static_trap_spectrum_and_vectors():
 def test_eigenmodes_residual_and_normalization(rng):
     cfg = random_config(rng)
     m = cfg.dynamics_matrix
-    for mv in eigenmodes(m):
-        res = np.linalg.norm(m @ mv.xbar - 1j * mv.omega * mv.xbar)
-        assert res < 1e-9 * np.linalg.norm(mv.xbar) * max(1.0, np.linalg.norm(m))
-        big = mv.xbar[np.argmax(np.abs(mv.xbar))]
-        assert big == pytest.approx(1.0, abs=1e-12)
+    om, vec = eigenmodes(m)
+    assert vec.shape == (6, 6) and vec.flags.c_contiguous
+    for w, xbar in zip(om, vec.T):
+        res = np.linalg.norm(m @ xbar - 1j * w * xbar)
+        assert res < 1e-9 * np.linalg.norm(xbar) * max(1.0, np.linalg.norm(m))
+        assert xbar[np.argmax(np.abs(xbar))] == 1.0
 
 
 def test_frequencies_pair_and_sum_to_zero(rng):
@@ -97,22 +98,37 @@ def test_mode_set_json_layout():
 # -- symplectic sign selection -----------------------------------------------
 
 def test_krein_signs_split_pairs():
-    ms = eigenmodes(fig1_config(1.0).dynamics_matrix)
-    signs = [krein_sign(mv) for mv in ms]
-    assert sum(s > 0 for s in signs) == 3
-    for mv, s in zip(ms, signs):
-        if s > 0:
-            partner = min(range(len(ms)), key=lambda j: abs(ms[j].omega + mv.omega))
-            assert signs[partner] < 0
+    om, vec = eigenmodes(fig1_config(1.0).dynamics_matrix)
+    signs = krein_sign(vec)
+    assert np.sum(signs > 0) == 3
+    for k in np.flatnonzero(signs > 0):
+        partner = np.argmin(np.abs(om + om[k]))
+        assert signs[partner] < 0
+
+
+@pytest.mark.parametrize("make", [fig1_config, fig2_config])
+def test_krein_sign_of_a_block_is_per_column(make):
+    # one sign per column, each the single-vector value
+    _, vec = eigenmodes(make().dynamics_matrix)
+    block = krein_sign(vec)
+    assert block.shape == (6,)
+    single = np.array([krein_sign(col) for col in vec.T])
+    assert np.all(np.sign(block) == np.sign(single))
+    assert np.allclose(block, single, rtol=1e-14, atol=1e-15)
 
 
 def test_select_positive_signature_modes_stable():
     ms = eigenmodes(fig1_config(1.0).dynamics_matrix)
-    sel = select_positive_signature_modes(ms)
-    assert len(sel) == 3
-    mags = [abs(mv.omega) for mv in sel]
-    assert mags == sorted(mags)
-    assert all(krein_sign(mv) > 0 for mv in sel)
+    om, vec = select_positive_signature_modes(ms)
+    assert om.shape == (3,) and vec.shape == (6, 3)
+    assert vec.flags.c_contiguous
+    mags = np.abs(om)
+    assert np.all(np.diff(mags) >= 0)
+    assert np.all(krein_sign(vec) > 0)
+    # the selected columns are columns of the full set, frequency and all
+    for w, col in zip(om, vec.T):
+        (k,) = np.flatnonzero(np.all(ms.vectors == col[:, None], axis=0))
+        assert ms.omegas[k] == w
 
 
 def test_select_positive_signature_modes_at_a_same_sign_crossing():
@@ -120,9 +136,9 @@ def test_select_positive_signature_modes_at_a_same_sign_crossing():
     # share omega = sqrt 3 and Krein sign +1, so M stays semisimple
     (om_c,) = same_sign_crossing_rates([1.0, 2.0, 3.0], 2)
     ms = eigenmodes(fig2_config(om_c).dynamics_matrix)
-    sel = select_positive_signature_modes(ms)
-    assert [krein_sign(mv) > 0 for mv in sel] == [True] * 3
-    assert [abs(mv.omega) for mv in sel][1:] == pytest.approx([np.sqrt(3.0)] * 2, rel=1e-12)
+    om, vec = select_positive_signature_modes(ms)
+    assert np.all(krein_sign(vec) > 0)
+    assert np.abs(om[1:]) == pytest.approx([np.sqrt(3.0)] * 2, rel=1e-12)
 
 
 def test_select_positive_signature_modes_unstable():
@@ -177,10 +193,11 @@ def test_planar_frequencies_reject_bad_potential():
 
 def test_planar_mode_vector_benchmark():
     w = np.sqrt(planar_frequencies(1.0, 2.0, 0.5).omega_minus_sq)
-    mv = planar_mode_vector(w, 1.0, 0.5)
+    xbar = planar_mode_vector(w, 1.0, 0.5)
+    assert xbar[np.argmax(np.abs(xbar))] == 1.0
     raw = np.array([0.653546j, 0.322876, -0.588562, 0.537784j])
     # parallel up to the deterministic normalization
-    ratio = mv.xbar / raw
+    ratio = xbar / raw
     assert np.allclose(ratio, ratio[0], atol=1e-5)
     # first equation of motion: i w x = Omega y + p_x
     x, y, px, _ = raw
@@ -194,8 +211,8 @@ def test_planar_mode_vector_parity():
     minus = planar_mode_vector(-w, 1.0, 0.5)
     # x and p_y flip sign under w -> -w, y and p_x do not; compare the
     # normalization-free component ratios
-    flipped = plus.xbar * np.array([-1.0, 1.0, 1.0, -1.0])
-    ratio = minus.xbar / flipped
+    flipped = plus * np.array([-1.0, 1.0, 1.0, -1.0])
+    ratio = minus / flipped
     assert np.allclose(ratio, ratio[0], atol=1e-10)
 
 
@@ -207,9 +224,9 @@ def test_planar_mode_vector_satisfies_eigenproblem(rng):
         pf = planar_frequencies(vx, vy, om)
         for sq in pf:
             w = np.sqrt(complex(sq))
-            mv = planar_mode_vector(w, vx, om)
-            res = np.linalg.norm(m4 @ mv.xbar - 1j * w * mv.xbar)
-            assert res < 1e-9 * np.linalg.norm(mv.xbar) * max(1.0, np.linalg.norm(m4))
+            xbar = planar_mode_vector(w, vx, om)
+            res = np.linalg.norm(m4 @ xbar - 1j * w * xbar)
+            assert res < 1e-9 * np.linalg.norm(xbar) * max(1.0, np.linalg.norm(m4))
 
 
 def test_planar_mode_vector_degenerate():

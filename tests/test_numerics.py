@@ -327,6 +327,30 @@ def test_eig_conjugation_closure_and_residual(rng):
             assert r < 1e-9 * max(1.0, np.linalg.norm(m)) * np.linalg.norm(vec[:, k])
 
 
+def test_eig_reports_a_failed_decomposition(monkeypatch):
+    def fails(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fails)
+    with pytest.raises(ConvergenceFailure, match="eigendecomposition failed"):
+        eig_general(fig1_config(1.0).dynamics_matrix)
+
+
+@pytest.mark.parametrize("bad", [(0,), (5,), (4, 2)])
+def test_eig_names_the_first_pair_off_its_residual(monkeypatch, bad):
+    real = np.linalg.eig
+
+    def doctored(m):
+        lam, vec = real(m)
+        lam = lam.copy()
+        lam[list(bad)] += 1e-3
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eig", doctored)
+    with pytest.raises(ConvergenceFailure, match=rf"^eigenpair {min(bad)} residual"):
+        eig_general(fig1_config(1.0).dynamics_matrix)
+
+
 def test_eig_matches_cubic_roots_on_benchmark():
     cfg = fig1_config(1.0)
     lam, _ = eig_general(cfg.dynamics_matrix)

@@ -12,7 +12,6 @@ from rototrap import (
     GaussianState,
     InInstabilityRegion,
     ModeSet,
-    ModeVector,
     NearSingular,
     NoValidRoot,
     NonFiniteState,
@@ -419,14 +418,9 @@ def test_stationary_rejects_instability_region():
 def test_stationary_invariant_under_mode_rescaling(rng):
     cfg = fig3_config(0.5)
     base = stationary_K_from_modes(cfg)
-    ms = eigenmodes(cfg.dynamics_matrix)
+    om, vec = eigenmodes(cfg.dynamics_matrix)
     scales = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    doctored = ModeSet(
-        [
-            ModeVector(mv.omega, mv.xbar * (s if abs(s) > 0.1 else 1.0), normalize=False)
-            for mv, s in zip(ms.modes, scales)
-        ]
-    )
+    doctored = ModeSet(om, vec * np.where(np.abs(scales) > 0.1, scales, 1.0))
     other = stationary_K_from_modes(cfg, modes=doctored)
     assert np.max(np.abs(other.k - base.k)) < 1e-10
 
@@ -478,12 +472,9 @@ def test_wrong_pair_selection_degenerates():
     # zero eigenvalue, which is why that choice is rejected
     cfg = fig3_config(0.5)
     ms = eigenmodes(cfg.dynamics_matrix)
-    sel = select_positive_signature_modes(ms)
-    partner = ModeVector(-sel[0].omega, np.conj(sel[0].xbar), normalize=False)
-    cols = [sel[0], partner, sel[1]]
-    dmat = np.column_stack([mv.xbar[:3] for mv in cols])
-    nmat = np.column_stack([mv.xbar[3:] for mv in cols])
-    k = -1j * (nmat @ np.linalg.inv(dmat))
+    _, sel = select_positive_signature_modes(ms)
+    cols = np.column_stack([sel[:, 0], np.conj(sel[:, 0]), sel[:, 1]])
+    k = -1j * (cols[3:] @ np.linalg.inv(cols[:3]))
     eigs = np.linalg.eigvalsh(0.5 * np.real(k + k.T))
     assert np.min(np.abs(eigs)) < 1e-8
     assert np.max(np.abs(eigs)) > 0.1

@@ -7,7 +7,6 @@ import pytest
 
 from rototrap import (
     ModeSet,
-    ModeVector,
     classify_resonances,
     eigenmodes,
     exponential_window,
@@ -182,16 +181,20 @@ def test_stable_verify_solves_the_null_space_once(monkeypatch):
 
 
 def test_verify_drift_checks_all_three_invariants(monkeypatch):
-    labels = []
+    seen = []
     real = verify.trajectory_drift
 
-    def recorded(inv, traj):
-        labels.append(inv.label)
-        return real(inv, traj)
+    def recorded(g, traj):
+        seen.append(g)
+        return real(g, traj)
 
     monkeypatch.setattr(verify, "trajectory_drift", recorded)
-    assert _drift_check(verify_config(fig1_config(1.0))).ok
-    assert labels == ["G0", "G1", "G2"]
+    cfg = fig1_config(1.0)
+    assert _drift_check(verify_config(cfg)).ok
+    forms = invariants.invariant_forms(cfg)
+    assert len(seen) == len(forms) == 3
+    for g, ref in zip(seen, forms):
+        assert np.array_equal(g, ref)
 
 
 # fig2's trap at its lower crossing, where the axis mode and an in-plane mode
@@ -220,9 +223,8 @@ def test_eigen_cubic_crosscheck_catches_a_frequency_off_by_1e9(monkeypatch):
     # omega^2 put back into the cubic: a root moved by 2e-9 relative leaves
     # a backward error far above the 1e-12 bound
     def skewed(m):
-        ms = eigenmodes(m)
-        first = ModeVector(ms[0].omega * (1.0 + 1e-9), ms[0].xbar, normalize=False)
-        return ModeSet([first] + ms.modes[1:])
+        om, vec = eigenmodes(m)
+        return ModeSet(om * np.array([1.0 + 1e-9, 1, 1, 1, 1, 1]), vec)
 
     monkeypatch.setattr(verify, "eigenmodes", skewed)
     report = verify_config(fig1_config(1.0))
