@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     ConvergenceFailure,
     DefectiveMatrix,
-    DegenerateD,
     DegenerateModeVector,
     InInstabilityRegion,
     InsufficientSpan,
@@ -78,11 +77,9 @@ from .invariants import (
 )
 from .modes import (
     ModeSet,
-    PlanarFrequencies,
+    cubic_modes,
     eigenmodes,
     krein_sign,
-    planar_frequencies,
-    planar_mode_vector,
     select_positive_signature_modes,
     symplectic_form,
 )
@@ -125,7 +122,6 @@ from .stability import (
     cubic_discriminant,
     exponential_window,
     oscillatory_window,
-    planar_discriminant,
     region_map,
     region_of,
     solve_cubic,

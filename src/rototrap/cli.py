@@ -15,7 +15,7 @@ from importlib.resources import files
 
 import numpy as np
 
-from .errors import ConfigError, InvalidConfig, RototrapError, VerificationError
+from .errors import ConfigError, InvalidConfig, NotSymmetric, RototrapError, VerificationError
 from .gravity import (
     default_forced_dt,
     forced_evolve,
@@ -23,7 +23,7 @@ from .gravity import (
     trajectory_to_csv,
 )
 from .modes import eigenmodes
-from .numerics import OmegaRange, fmt17
+from .numerics import OmegaRange, _step_count, fmt17
 from .quantum import GaussianState, evolve_riccati, riccati_rhs, stationary_K_from_modes
 from .stability import region_map, stability_scan
 from .trap import config_errors, validate_config
@@ -178,7 +178,7 @@ def _load_k0(path):
     raw = _read_json(path, "K0 file")
     try:
         k0 = GaussianState.from_json_obj(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NotSymmetric) as exc:
         raise InvalidConfig(f"K0 file is malformed: {exc!r}") from exc
     if k0.k.shape != (3, 3) or not np.all(np.isfinite(k0.k)):
         raise InvalidConfig(f"K0 must be a finite 3x3 matrix, got shape {k0.k.shape}")
@@ -230,10 +230,6 @@ def _cmd_ground_state(cfg, args):
 
 
 def _cmd_evolve(cfg, args):
-    if not 0.0 <= args.t_end < np.inf:
-        raise InvalidConfig(f"--t-end must be a finite number >= 0, got {args.t_end}")
-    if args.dt is not None and not 0.0 < args.dt < np.inf:
-        raise InvalidConfig(f"--dt must be a finite number > 0, got {args.dt}")
     # a flag of the other run kind would be dropped unread
     other = ("--gravity", "--x0") if args.riccati else ("--method", "--k0")
     for flag in other:
@@ -241,6 +237,10 @@ def _cmd_evolve(cfg, args):
             kind = "--riccati" if args.riccati else "a classical run (no --riccati)"
             raise InvalidConfig(f"{flag} does not apply to {kind}")
     dt = args.dt if args.dt is not None else default_forced_dt(cfg)
+    try:
+        _step_count(dt, args.t_end)
+    except ValueError as exc:
+        raise InvalidConfig(f"--t-end and --dt give no run: {exc}") from exc
     if args.riccati:
         if args.k0 is not None:
             k0 = _load_k0(args.k0)

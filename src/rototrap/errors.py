@@ -23,7 +23,6 @@ __all__ = [
     "BracketTooSmall",
     "DefectiveMatrix",
     "DegenerateModeVector",
-    "DegenerateD",
     "StepTooLarge",
     "NonFiniteState",
     "SingularD",
@@ -126,10 +125,6 @@ class DefectiveMatrix(NumericError):
 
 
 class DegenerateModeVector(NumericError):
-    pass
-
-
-class DegenerateD(NumericError):
     pass
 
 

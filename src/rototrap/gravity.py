@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateD, InsufficientSpan
+from .errors import InsufficientSpan
 from .numerics import _check_step_bound, _csv_text, linear_flow
 from .stability import _real_quadratic_roots, region_map, solve_cubic
 from .trap import char_poly_coeffs
@@ -131,14 +131,11 @@ def resonant_frequencies(cfg, rmap=None):
 
     Equivalent to intersecting the parabola chi = Omega^2 with the chi
     branches of a stability scan; here the roots come from the biquadratic
-    and the labels from the window arithmetic. Raises DegenerateD when the
-    trap is fully symmetric about the axis (|D| < 1e-12): the equation
-    degenerates to a single root and the generic analysis does not apply.
+    and the labels from the window arithmetic. For a positive-definite V,
+    D = -2 Tr((I - n n^T) V) <= -4 lambda_min(V) < 0, so the biquadratic is
+    never degenerate and its roots scale as s^2 under V -> s^2 V.
     """
-    d, e, f = resonance_coefficients(cfg)
-    if abs(d) < 1e-12:
-        raise DegenerateD("trap is degenerate along the rotation axis (D ~ 0)")
-    roots = _real_quadratic_roots(d, e, f)
+    roots = _real_quadratic_roots(*resonance_coefficients(cfg))
     if rmap is None:
         rmap = region_map(cfg)
     labels = [

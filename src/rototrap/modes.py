@@ -6,8 +6,10 @@ so omega and -conj(omega) are both frequencies, and omega^2 reproduces the
 chi roots of the stability cubic. A set of modes is plain arrays, a ModeSet
 (omegas, vectors) whose vectors hold one mode per column, so the consumers
 (the stationary state, the energy split) take position and momentum blocks
-of one matrix. The planar closed forms (rotation about a principal axis)
-are kept as an independent route for cross-validation.
+of one matrix. eigenmodes reads the modes off the 6x6 eig of M;
+cubic_modes builds them, for a 3-D config, from the stability cubic's
+roots and the adjugate of a 3x3 matrix, a second route that shares no
+eigensolver with the first and is kept for cross-validation.
 
 The symplectic form selects modes: on a stable trap exactly d of the 2d
 modes have real frequency and positive Krein sign -i Xbar^dag J Xbar, the
@@ -23,13 +25,13 @@ import numpy as np
 
 from .errors import DefectiveMatrix, DegenerateModeVector, InInstabilityRegion
 from .numerics import eig_general
+from .stability import solve_cubic
+from .trap import char_poly_coeffs
 
 __all__ = [
     "ModeSet",
-    "PlanarFrequencies",
     "eigenmodes",
-    "planar_frequencies",
-    "planar_mode_vector",
+    "cubic_modes",
     "symplectic_form",
     "krein_sign",
     "select_positive_signature_modes",
@@ -85,11 +87,66 @@ def eigenmodes(m):
         raise DefectiveMatrix(
             f"eigenvector matrix condition {cond:.3e} >= 1e12 (degenerate spectrum)"
         )
-    omegas = lam / 1j
+    return _mode_set(lam / 1j, vec)
+
+
+def _mode_set(omegas, vec):
+    """The modes sorted by (|omega|, descending real part), each column
+    divided by its largest-magnitude entry."""
     cols = np.arange(len(omegas))
     vec = vec / vec[np.argmax(np.abs(vec), axis=0), cols]
     order = np.lexsort((-omegas.imag, -omegas.real, np.abs(omegas)))
     return ModeSet(omegas[order], np.ascontiguousarray(vec[:, order]))
+
+
+# the least root separation g that cubic_modes resolves (its docstring)
+_RESOLVED = 8.0 * np.sqrt(np.finfo(float).eps)
+
+
+def cubic_modes(cfg):
+    """The 2d modes of a 3-D config from the cubic's roots, with no 6x6 eig.
+
+    With X = (r, p) e^{i omega t}, p = A r for A = W + i omega, and Q r = 0
+    for Q = V + A^2, Hermitian for real omega; omega = +-sqrt(chi) over
+    solve_cubic's roots. At a simple root every column of adj Q,
+    (q1 x q2, q2 x q0, q0 x q1) over Q's rows, is a multiple of r, and the
+    largest is taken. The modes are ordered as eigenmodes orders its own,
+    each scaled so its largest-magnitude entry is exactly 1.
+
+    Near a multiple root adj Q loses digits, about eps / g relative, with
+    g = min_i prod_{j != i} |chi_i - chi_j| / s^2 and s = max |chi|; K
+    inherits that. Rounding splits an exact double root into a pair with g
+    up to 2 sqrt(8 eps), from a backward error of 8 eps s^3 in the cubic
+    over the distance to the third root; 4,000 static traps with a repeated
+    eigenvalue and the same-sign crossings of 300 diagonal traps reached
+    3.5 sqrt(eps). So g < 8 sqrt(eps) = 1.2e-7 raises DegenerateModeVector,
+    as no single vector exists at a double root. A triple cluster, with g
+    near eps^(2/3), is refused alike.
+
+    A test route: Q cancels at large rates, and on fig1's trap K drifts
+    from the eig route's by 4e-10 at Omega = 1e4 and fails its symmetry
+    check from 1e5.
+    """
+    chi = solve_cubic(char_poly_coeffs(cfg))
+    gaps = np.abs(chi[:, None] - chi) / np.max(np.abs(chi)) + np.eye(3)
+    g = float(np.min(np.prod(gaps, axis=1)))
+    if g < _RESOLVED:
+        raise DegenerateModeVector(
+            f"chi roots {chi.tolist()} cluster (g = {g:.3e} < {_RESOLVED:.3e}): "
+            "no single mode vector at a multiple root"
+        )
+    root = np.sqrt(chi)
+    omegas = np.concatenate([root, -root])
+    a = cfg.omega_matrix + 1j * omegas[:, None, None] * np.eye(3)
+    q = cfg.v + a @ a
+    q0, q1, q2 = q[:, 0], q[:, 1], q[:, 2]
+    adj = np.stack([np.cross(q1, q2), np.cross(q2, q0), np.cross(q0, q1)], axis=2)
+    r = adj[np.arange(len(omegas)), :, np.argmax(np.linalg.norm(adj, axis=1), axis=1)]
+    p = (a @ r[:, :, None])[:, :, 0]
+    ms = _mode_set(omegas, np.concatenate([r, p], axis=1).T)
+    # a complex z / z can round: the largest entries are set to exactly 1
+    ms.vectors[np.argmax(np.abs(ms.vectors), axis=0), np.arange(len(omegas))] = 1.0
+    return ms
 
 
 def krein_sign(xbar):
@@ -126,53 +183,3 @@ def select_positive_signature_modes(modes):
         )
     sel = sel[np.argsort(np.abs(om[sel]), kind="stable")]
     return ModeSet(om[sel], np.ascontiguousarray(vec[:, sel]))
-
-
-class PlanarFrequencies(NamedTuple):
-    omega_plus_sq: float
-    omega_minus_sq: float
-
-
-def planar_frequencies(vx, vy, omega):
-    """Squared in-plane frequencies for rotation about the z principal axis.
-
-    omega_+-^2 = (Vx + Vy + 2 Omega^2 +- sqrt((Vx-Vy)^2 + 8 Omega^2 (Vx+Vy))) / 2.
-    """
-    if vx <= 0 or vy <= 0:
-        raise ValueError("vx and vy must be positive")
-    s = np.sqrt((vx - vy) ** 2 + 8.0 * omega * omega * (vx + vy))
-    base = vx + vy + 2.0 * omega * omega
-    return PlanarFrequencies(0.5 * (base + s), 0.5 * (base - s))
-
-
-def planar_mode_vector(omega_char, vx, omega):
-    """In-plane mode vector (x, y, px, py) at characteristic frequency omega_char.
-
-    Scaled, as eigenmodes scales its columns, so that its largest-magnitude
-    component is exactly 1. Components are, up to that normalization,
-
-        (2 i w W, Vx - w^2 - W^2, W (W^2 - w^2 - Vx), i w (W^2 - w^2 + Vx))
-
-    with w = omega_char and W the rotation rate. All four vanish
-    simultaneously only for W = 0 with w^2 = Vx, where the two linear
-    polarizations degenerate and no single closed-form vector exists; that
-    case raises DegenerateModeVector.
-    """
-    w = complex(omega_char)
-    big_w = float(omega)
-    w2 = w * w
-    raw = np.array(
-        [
-            2j * w * big_w,
-            vx - w2 - big_w * big_w,
-            big_w * (big_w * big_w - w2 - vx),
-            1j * w * (big_w * big_w - w2 + vx),
-        ],
-        dtype=complex,
-    )
-    scale = 1.0 + abs(vx) + abs(w2) + big_w * big_w
-    if np.max(np.abs(raw)) < 1e-12 * scale:
-        raise DegenerateModeVector(
-            "planar mode vector vanishes (static trap at its own principal frequency)"
-        )
-    return raw / raw[np.argmax(np.abs(raw))]

@@ -107,25 +107,35 @@ class Trajectory:
         return self.states[-1]
 
 
-def _step_count(dt, t0, t_end):
-    """Number of full steps of dt from t0 to t_end, and the ragged last step.
+# the most steps a fixed-step run takes
+_MAX_STEPS = 10**7
+
+
+def _step_count(dt, t_end):
+    """Number of full steps of dt from t = 0 to t_end, and the ragged last step.
 
     The ragged step is None when the full steps land on t_end within
-    roundoff; the 1e-12 slack avoids a spurious tiny final step.
+    roundoff; the 1e-12 slack avoids a spurious tiny final step. A run of
+    more than 10^7 steps raises ValueError before anything is allocated:
+    at the cap the largest record a run keeps, the linearized Riccati
+    route's 6x3 complex block of 288 bytes a step, takes 2.9 GB.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
-    span = t_end - t0
-    if span < 0:
-        raise ValueError(f"t_end = {t_end} lies before the start time {t0}")
-    n_full = int(np.floor(span / dt + 1e-12))
-    rem = span - n_full * dt
+    if t_end < 0:
+        raise ValueError(f"t_end = {t_end} lies before the start time 0")
+    if not t_end / dt <= _MAX_STEPS:
+        raise ValueError(
+            f"t_end / dt = {t_end / dt:.3g} steps, above the cap of {_MAX_STEPS} steps"
+        )
+    n_full = int(np.floor(t_end / dt + 1e-12))
+    rem = t_end - n_full * dt
     return n_full, (rem if rem > 1e-12 * max(1.0, abs(t_end)) else None)
 
 
-def rk4_integrate(rhs, y0, t_end, dt, t0=0.0):
+def rk4_integrate(rhs, y0, t_end, dt):
     """Integrate dy/dt = rhs(t, y) with classical fixed-step RK4.
 
     The last step is shortened so the trajectory lands exactly on ``t_end``.
@@ -136,11 +146,11 @@ def rk4_integrate(rhs, y0, t_end, dt, t0=0.0):
     y = np.asarray(y0).copy()
     if y.dtype.kind not in "fc":
         y = y.astype(float)
-    t = float(t0)
+    t = 0.0
     t_end = float(t_end)
     times = [t]
     states = [y.copy()]
-    n_full, ragged = _step_count(dt, t, t_end)
+    n_full, ragged = _step_count(dt, t_end)
     steps = [dt] * n_full
     if ragged is not None:
         steps.append(ragged)
@@ -178,7 +188,7 @@ def _step_runs(dt, t_end):
     h) and the n + 1 times, accumulated as t = t + h so they are
     bit-identical to rk4_integrate's.
     """
-    n_full, ragged = _step_count(dt, 0.0, float(t_end))
+    n_full, ragged = _step_count(dt, float(t_end))
     runs = [(0, n_full, float(dt))]
     if ragged is not None:
         runs.append((n_full, n_full + 1, ragged))

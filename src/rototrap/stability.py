@@ -33,7 +33,6 @@ __all__ = [
     "default_classify_tol",
     "window_coeffs",
     "exponential_window",
-    "planar_discriminant",
     "cubic_discriminant",
     "oscillatory_window",
     "region_map",
@@ -204,16 +203,6 @@ def exponential_window(cfg):
     a, b, c = window_coeffs(cfg)
     om_minus_sq, om_plus_sq = _real_quadratic_roots(a, -b, c)
     return float(np.sqrt(max(om_minus_sq, 0.0))), float(np.sqrt(om_plus_sq))
-
-
-def planar_discriminant(vx, vy, omega):
-    """Delta = 8 Omega^2 (Vx + Vy) + (Vx - Vy)^2, nonnegative always.
-
-    This is the discriminant of the in-plane quadratic factor for rotation
-    about a principal axis; its sign rules out oscillatory instability in
-    the axis-aligned case.
-    """
-    return 8.0 * omega * omega * (vx + vy) + (vx - vy) ** 2
 
 
 def cubic_discriminant(a, b, c):

@@ -457,6 +457,9 @@ K0_FILES = {
     "not_json": "not json at all",
     "k_not_rows": json.dumps({"k": 5}),
     "k_2x2": json.dumps(GaussianState(np.eye(2)).to_json_obj()),
+    "k_asym": json.dumps(
+        {"k": [[{"re": x, "im": 0.0} for x in row] for row in [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]]}
+    ),
 }
 
 
@@ -467,6 +470,7 @@ K0_FILES = {
         ["--riccati", "--k0", "not_json"],
         ["--riccati", "--k0", "k_not_rows"],
         ["--riccati", "--k0", "k_2x2"],
+        ["--riccati", "--k0", "k_asym"],
         ["--gravity", "nan,0,0"],
         ["--x0", "nan,0,0,0,0,0"],
         ["--dt", "0"],
@@ -475,6 +479,8 @@ K0_FILES = {
         ["--riccati", "--dt", "-1"],
         ["--t-end", "-1"],
         ["--t-end", "inf"],
+        ["--t-end", "1e300"],
+        ["--riccati", "--dt", "1e-300"],
     ],
     ids=lambda a: " ".join(a),
 )

@@ -1,13 +1,10 @@
 """Rotating-frame gravity, resonance locations, and forced-growth diagnostics."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from rototrap import gravity
 from rototrap import (
-    DegenerateD,
     InsufficientSpan,
     StepTooLarge,
     Trajectory,
@@ -23,7 +20,6 @@ from rototrap import (
     resonant_frequencies,
     rk4_integrate,
     trajectory_to_csv,
-    trap_invariants,
 )
 
 from conftest import (
@@ -34,6 +30,7 @@ from conftest import (
     fig6_config,
     random_axis,
     random_config,
+    random_potential,
     tilted_axis,
 )
 
@@ -175,13 +172,18 @@ def test_classify_resonances_figure_configs():
     assert (rep6.region1, rep6.region2) == ("S1", "S2")
 
 
-def test_degenerate_d_guard():
-    # unreachable from a positive-definite potential; exercised with a
-    # degenerate stand-in where Tr V equals n.V.n
-    fake = SimpleNamespace(v=np.diag([0.0, 0.0, 3.0]), axis=np.array([0.0, 0.0, 1.0]))
-    fake.invariants = trap_invariants(fake)
-    with pytest.raises(DegenerateD):
-        resonant_frequencies(fake)
+def test_resonance_roots_scale_with_the_potential(rng):
+    # V -> s^2 V scales D, E, F by s^2, s^4, s^6 and the roots by s^2; at
+    # s^2 = 1e-13 |D| is far below any absolute threshold, yet D < 0
+    s2 = 1e-13
+    cases = [(V123, [0.6, 0.0, 0.8])] + [
+        (random_potential(rng), random_axis(rng)) for _ in range(20)
+    ]
+    for v, axis in cases:
+        ref = resonant_frequencies(make_config(v, axis, 1.0))
+        small = resonant_frequencies(make_config(s2 * np.asarray(v), axis, 1e-6))
+        assert small.omega1_sq == pytest.approx(s2 * ref.omega1_sq, rel=1e-12)
+        assert small.omega2_sq == pytest.approx(s2 * ref.omega2_sq, rel=1e-12)
 
 
 def test_resonance_report_json():

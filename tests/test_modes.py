@@ -1,25 +1,37 @@
-"""Eigenmode extraction, Krein-sign selection, and the planar closed forms."""
+"""Eigenmode extraction, Krein-sign selection, and the cubic route to the modes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from rototrap import (
     DefectiveMatrix,
     DegenerateModeVector,
     InInstabilityRegion,
     char_poly_coeffs,
+    cubic_modes,
     eigenmodes,
     krein_sign,
     make_config,
-    planar_frequencies,
-    planar_mode_vector,
     planar_trap,
+    region_map,
     select_positive_signature_modes,
     solve_cubic,
+    stationary_K_from_modes,
     symplectic_form,
 )
 
-from conftest import V123, fig1_config, fig2_config, random_config, same_sign_crossing_rates
+from conftest import (
+    CROSSING_DELTAS,
+    V123,
+    fig1_config,
+    fig2_config,
+    hard_configs,
+    omega_inside,
+    random_config,
+    random_potential,
+    same_sign_crossing_rates,
+)
 
 
 # -- eigenmodes --------------------------------------------------------------
@@ -154,47 +166,89 @@ def test_symplectic_form_layout():
     assert np.allclose(symplectic_form(3) @ symplectic_form(3), -np.eye(6))
 
 
-# -- planar closed forms -----------------------------------------------------
+# -- the cubic route: modes from the adjugate of Q(omega) --------------------
+
+EPS = np.finfo(float).eps
+
+# the in-plane components (x, y, px, py) of a mode of a trap rotating about z
+IN_PLANE = [0, 1, 3, 4]
+
+
+def root_separation(cfg):
+    """g = min_i prod_{j != i} |chi_i - chi_j| / s^2, s = max |chi|."""
+    chi = solve_cubic(char_poly_coeffs(cfg))
+    gaps = np.abs(chi[:, None] - chi) / np.max(np.abs(chi)) + np.eye(3)
+    return float(np.min(np.prod(gaps, axis=1)))
+
+
+def assert_cubic_route_K(cfg):
+    """K from cubic_modes is the eig route's to 100 eps / g, or g < 8 sqrt(eps) refuses it.
+
+    Returns whether the route resolved the roots. An accepted mode set's
+    adjugate has relative error about eps / g (cubic_modes' docstring);
+    the measured factor is at most 4.2 over 900 stable random rates.
+    """
+    ref = stationary_K_from_modes(cfg).k
+    g = root_separation(cfg)
+    if g < 8.0 * np.sqrt(EPS):
+        with pytest.raises(DegenerateModeVector):
+            cubic_modes(cfg)
+        return False
+    k = stationary_K_from_modes(cfg, cubic_modes(cfg)).k
+    assert np.max(np.abs(k - ref)) <= 100.0 * EPS / g * np.max(np.abs(ref))
+    return True
+
 
 def test_planar_frequencies_static_limit():
-    pf = planar_frequencies(1.0, 2.0, 0.0)
-    assert pf.omega_plus_sq == pytest.approx(2.0, abs=1e-12)
-    assert pf.omega_minus_sq == pytest.approx(1.0, abs=1e-12)
+    om = cubic_modes(fig2_config(0.0)).omegas
+    root = np.sqrt([1.0, 2.0, 3.0])
+    assert om == pytest.approx(np.ravel(np.column_stack([root, -root])), abs=1e-12)
 
 
 def test_planar_frequencies_benchmark():
-    pf = planar_frequencies(1.0, 2.0, 0.5)
+    # fig2's trap rotates about z: its in-plane pair is the paper's planar case
+    om = cubic_modes(fig2_config(0.5)).omegas
+    assert np.all(om.imag == 0.0)
+    minus_sq, axis_sq, plus_sq = om[::2].real ** 2
     s = np.sqrt(7.0)
-    assert pf.omega_plus_sq == pytest.approx((3.5 + s) / 2.0, abs=1e-12)
-    assert pf.omega_minus_sq == pytest.approx((3.5 - s) / 2.0, abs=1e-12)
-    assert pf.omega_plus_sq == pytest.approx(3.072876, abs=1e-6)
-    assert pf.omega_minus_sq == pytest.approx(0.427124, abs=1e-6)
+    assert plus_sq == pytest.approx((3.5 + s) / 2.0, abs=1e-12)
+    assert minus_sq == pytest.approx((3.5 - s) / 2.0, abs=1e-12)
+    assert plus_sq == pytest.approx(3.072876, abs=1e-6)
+    assert minus_sq == pytest.approx(0.427124, abs=1e-6)
+    assert axis_sq == pytest.approx(3.0, abs=1e-12)
 
 
 def test_planar_frequencies_match_planar_eigenmodes(rng):
-    for _ in range(500):
-        vx, vy = rng.uniform(0.1, 5.0, size=2)
+    # about a principal axis the 3-D route's in-plane modes are the 2-D
+    # trap's eig modes, frequency and vector
+    checked = 0
+    for _ in range(300):
+        vx, vy, vz = rng.uniform(0.1, 5.0, size=3)
         om = rng.uniform(0.0, 3.0)
-        pf = planar_frequencies(vx, vy, om)
         try:
-            ms = eigenmodes(planar_trap(vx, vy, om).dynamics_matrix)
-        except DefectiveMatrix:
+            ms = cubic_modes(make_config([vx, vy, vz], [0.0, 0.0, 1.0], om))
+            ref = eigenmodes(planar_trap(vx, vy, om).dynamics_matrix)
+        except (DegenerateModeVector, DefectiveMatrix):
             continue
-        sq = sorted(np.real(ms.omegas ** 2))
-        scale = 1.0 + abs(pf.omega_plus_sq)
-        assert abs(sq[0] - pf.omega_minus_sq) < 1e-9 * scale
-        assert abs(sq[-1] - pf.omega_plus_sq) < 1e-9 * scale
-
-
-def test_planar_frequencies_reject_bad_potential():
-    with pytest.raises(ValueError):
-        planar_frequencies(-1.0, 2.0, 0.5)
+        plane = np.flatnonzero(np.all(ms.vectors[[2, 5]] == 0.0, axis=0))
+        assert len(plane) == 4
+        for w, col in zip(ms.omegas[plane], ms.vectors[IN_PLANE][:, plane].T):
+            k = np.argmin(np.abs(ref.omegas - w))
+            assert abs(ref.omegas[k] - w) < 1e-9 * (1.0 + abs(w))
+            overlap = abs(np.vdot(ref.vectors[:, k], col))
+            assert overlap == pytest.approx(
+                np.linalg.norm(ref.vectors[:, k]) * np.linalg.norm(col), rel=1e-8
+            )
+        checked += 1
+    assert checked > 250
 
 
 def test_planar_mode_vector_benchmark():
-    w = np.sqrt(planar_frequencies(1.0, 2.0, 0.5).omega_minus_sq)
-    xbar = planar_mode_vector(w, 1.0, 0.5)
-    assert xbar[np.argmax(np.abs(xbar))] == 1.0
+    om, vec = cubic_modes(fig2_config(0.5))
+    w = om[0]
+    assert w == pytest.approx(np.sqrt((3.5 - np.sqrt(7.0)) / 2.0), abs=1e-12)
+    assert vec[np.argmax(np.abs(vec[:, 0])), 0] == 1.0
+    xbar = vec[IN_PLANE, 0]
     raw = np.array([0.653546j, 0.322876, -0.588562, 0.537784j])
     # parallel up to the deterministic normalization
     ratio = xbar / raw
@@ -206,9 +260,9 @@ def test_planar_mode_vector_benchmark():
 
 
 def test_planar_mode_vector_parity():
-    w = np.sqrt(planar_frequencies(1.0, 2.0, 0.5).omega_minus_sq)
-    plus = planar_mode_vector(w, 1.0, 0.5)
-    minus = planar_mode_vector(-w, 1.0, 0.5)
+    om, vec = cubic_modes(fig2_config(0.5))
+    assert om[1] == -om[0]
+    plus, minus = vec[IN_PLANE, 0], vec[IN_PLANE, 1]
     # x and p_y flip sign under w -> -w, y and p_x do not; compare the
     # normalization-free component ratios
     flipped = plus * np.array([-1.0, 1.0, 1.0, -1.0])
@@ -216,19 +270,85 @@ def test_planar_mode_vector_parity():
     assert np.allclose(ratio, ratio[0], atol=1e-10)
 
 
-def test_planar_mode_vector_satisfies_eigenproblem(rng):
+def test_cubic_modes_satisfy_eigenproblem(rng):
+    resolved = 0
     for _ in range(50):
-        vx, vy = rng.uniform(0.1, 5.0, size=2)
-        om = rng.uniform(0.05, 3.0)
-        m4 = planar_trap(vx, vy, om).dynamics_matrix
-        pf = planar_frequencies(vx, vy, om)
-        for sq in pf:
-            w = np.sqrt(complex(sq))
-            xbar = planar_mode_vector(w, vx, om)
-            res = np.linalg.norm(m4 @ xbar - 1j * w * xbar)
-            assert res < 1e-9 * np.linalg.norm(xbar) * max(1.0, np.linalg.norm(m4))
+        cfg = random_config(rng)
+        m = cfg.dynamics_matrix
+        try:
+            om, vec = cubic_modes(cfg)
+        except DegenerateModeVector:
+            continue
+        assert vec.shape == (6, 6) and vec.flags.c_contiguous
+        res = np.linalg.norm(m @ vec - 1j * vec * om, axis=0)
+        assert np.all(res < 1e-9 * np.linalg.norm(vec, axis=0) * max(1.0, np.linalg.norm(m)))
+        assert np.all(vec[np.argmax(np.abs(vec), axis=0), np.arange(6)] == 1.0)
+        # the eig route's frequencies; a complex quadruplet shares |omega|,
+        # so rounding may order it differently
+        ref = eigenmodes(m).omegas
+        assert np.all(np.min(np.abs(om[:, None] - ref), axis=1) < 1e-9 * (1.0 + np.abs(om)))
+        resolved += 1
+    assert resolved > 45
 
 
 def test_planar_mode_vector_degenerate():
+    # a static trap with a repeated eigenvalue: solve_cubic splits the
+    # double root by rounding, and the route refuses it
     with pytest.raises(DegenerateModeVector):
-        planar_mode_vector(1.0, 1.0, 0.0)
+        cubic_modes(make_config([1.0, 1.0, 2.0], [0.0, 0.0, 1.0], 0.0))
+
+
+def test_cubic_modes_K_matches_eig_route_on_random_traps():
+    # one rate inside each stable region of 200 seeded random traps
+    rng = np.random.default_rng(2025)
+    rates = 0
+    for _ in range(200):
+        base = random_config(rng, omega=0.0)
+        for lab in region_map(base).labels():
+            if lab.label.startswith("S"):
+                cfg = base.with_omega(omega_inside(lab, rng.uniform(0.05, 0.95)))
+                ref = stationary_K_from_modes(cfg).k
+                k = stationary_K_from_modes(cfg, cubic_modes(cfg)).k
+                assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
+                rates += 1
+            else:
+                cfg = base.with_omega(omega_inside(lab, rng.uniform(0.05, 0.95)))
+                with pytest.raises(InInstabilityRegion):
+                    select_positive_signature_modes(cubic_modes(cfg))
+    assert rates >= 600
+
+
+@settings(max_examples=60)
+@given(cfg=hard_configs())
+def test_cubic_modes_K_on_hard_configs(cfg):
+    lab = region_map(cfg).locate(cfg.omega)
+    if lab.label.startswith("S") and not lab.boundary:
+        assert_cubic_route_K(cfg)
+
+
+@pytest.mark.parametrize("delta", CROSSING_DELTAS)
+def test_cubic_modes_at_same_sign_crossings(delta):
+    # near a crossing the roots cluster: the route refuses or agrees, and
+    # never misreads a stable trap (SingularModeMatrix, NotSymmetric or
+    # InInstabilityRegion would propagate from here)
+    rng = np.random.default_rng(21)
+    traps = [([1.0, 2.0, 3.0], 2)] + [
+        (np.diag(random_potential(rng, rotated=False)), n)
+        for _ in range(30)
+        for n in range(3)
+    ]
+    outcomes = []
+    for vals, n in traps:
+        for om_c in same_sign_crossing_rates(vals, n):
+            cfg = make_config(np.diag(vals), np.eye(3)[n], om_c * (1.0 + delta))
+            outcomes.append(assert_cubic_route_K(cfg))
+    assert len(outcomes) > 40
+    if abs(delta) <= 1e-8:
+        assert not any(outcomes)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8])
+def test_cubic_modes_refuse_fig2_crossing(delta):
+    (om_c,) = same_sign_crossing_rates([1.0, 2.0, 3.0], 2)
+    with pytest.raises(DegenerateModeVector):
+        cubic_modes(fig2_config(om_c * (1.0 + delta)))

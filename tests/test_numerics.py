@@ -282,13 +282,25 @@ _FIXED_STEP_RUNS = {
         (np.inf, 1e-2, "t_end must be finite, got inf"),
         (np.nan, 1e-2, "t_end must be finite, got nan"),
         (1.0, np.nan, "dt must be finite and positive, got nan"),
+        # more steps than the cap, refused before the run allocates its record
+        (1e16, 1e-3, "1e\\+19 steps, above the cap of 10000000 steps"),
+        (1e-2, 1e-300, "1e\\+298 steps, above the cap of 10000000 steps"),
     ],
-    ids=["t_end_inf", "t_end_nan", "dt_nan"],
+    ids=["t_end_inf", "t_end_nan", "dt_nan", "steps_1e19", "dt_1e-300"],
 )
 @pytest.mark.parametrize("entry", sorted(_FIXED_STEP_RUNS))
 def test_non_finite_time_span_is_value_error(entry, t_end, dt, message):
     with pytest.raises(ValueError, match=message):
         _FIXED_STEP_RUNS[entry](t_end, dt)
+
+
+def test_step_cap_counts_the_ragged_step():
+    cap = numerics._MAX_STEPS
+    assert numerics._step_count(1.0, float(cap)) == (cap, None)
+    assert numerics._step_count(1.0, cap - 0.5) == (cap - 1, 0.5)
+    for t_end in (cap + 0.5, cap + 1.0):
+        with pytest.raises(ValueError, match="above the cap"):
+            numerics._step_count(1.0, t_end)
 
 
 def test_linear_flow_overflow_carries_finite_prefix():

@@ -22,7 +22,6 @@ from rototrap import (
     fmt17,
     make_config,
     oscillatory_window,
-    planar_discriminant,
     region_map,
     region_of,
     solve_cubic,
@@ -207,13 +206,6 @@ def test_axisymmetric_window_collapses_to_a_boundary(rng):
         assert lo == hi
         assert lo == pytest.approx(np.sqrt(v_perp), rel=1e-14)
         assert region_map(cfg).locate(lo).boundary
-
-
-def test_planar_discriminant_nonnegative(rng):
-    for _ in range(200):
-        vx, vy = rng.uniform(0.01, 5.0, size=2)
-        om = rng.uniform(0.0, 5.0)
-        assert planar_discriminant(vx, vy, om) >= 0.0
 
 
 # -- oscillatory window ------------------------------------------------------
