@@ -229,7 +229,7 @@ def _disc_terms(a, b, c):
 
 def _disc_at(cfg, om):
     """(discriminant, term scale) at one rate, for bisection."""
-    disc, *terms = _disc_terms(*char_poly_coeffs(cfg.with_omega(om)))
+    disc, *terms = _disc_terms(*char_poly_coeffs(cfg, om))
     return disc, max(1.0, *terms)
 
 
@@ -252,10 +252,11 @@ def oscillatory_window(cfg):
 
     Cost: one char_poly_coeffs call per grid rate above Omega+ (about
     1,660 on a typical trap) and one per bisection step, a shape the
-    benchmark's trace pins. Each rate's work in Python is that call and
-    its with_omega; the grid's discriminants, scales and flags are one
-    array expression over the collected coefficients. About 3.5 ms a call
-    (numpy 2.4, a 2-core x86-64 host).
+    benchmark's trace pins. Each rate's work in Python is that one call,
+    given the rate as a float, with no config built; the grid's
+    discriminants, scales and flags are one array expression over the
+    collected coefficients. About 2 ms a call (numpy 2.4, a 2-core x86-64
+    host).
     """
     _, om_plus = exponential_window(cfg)
     grid = _default_bracket(cfg, om_plus).values()
@@ -264,7 +265,7 @@ def oscillatory_window(cfg):
         return None
 
     coeffs = np.fromiter(
-        chain.from_iterable(char_poly_coeffs(cfg.with_omega(om)) for om in grid.tolist()),
+        chain.from_iterable(char_poly_coeffs(cfg, om) for om in grid.tolist()),
         float,
         3 * len(grid),
     ).reshape(-1, 3)
@@ -425,7 +426,7 @@ def stability_scan(cfg, omega_grid):
     solve_cubic call, a shape the benchmark's trace pins. The solve's 3x3
     eigvals takes most of a point's time; the branch match reads a 3x3
     table of squared root-to-prediction distances and tries the 6 orders
-    in Python. About 12 ms for 200 points, 3.5 ms of it the region map
+    in Python. About 9 ms for 200 points, 2 ms of it the region map
     (numpy 2.4, a 2-core x86-64 host).
     """
     if isinstance(omega_grid, OmegaRange):
@@ -441,7 +442,7 @@ def stability_scan(cfg, omega_grid):
     classes = []
     regions = []
     for i, om in enumerate(grid):
-        coeffs = char_poly_coeffs(cfg.with_omega(om))
+        coeffs = char_poly_coeffs(cfg, om)
         roots = solve_cubic(coeffs)
         try:
             label = classify_chi_roots(roots, default_classify_tol(coeffs)).label

